@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-tests lint-baseline lint-report test-race test-faults test-crash test-serve test-shard fuzz bench bench-obs bench-flight bench-kernels bench-kernels-short bench-kernels-wide experiments fast-experiments bench-serve bench-serve-short bench-shard-short fmt loc
+.PHONY: all build test vet lint lint-tests lint-baseline lint-report test-race test-faults test-crash test-serve test-shard fuzz bench bench-obs bench-flight bench-kernels bench-kernels-short bench-kernels-wide experiments fast-experiments bench-serve bench-serve-short bench-shard-short perfbench-smoke fmt loc
 
 all: build vet lint test
 
@@ -135,6 +135,15 @@ bench-serve-short:
 # run via `fdxbench -stream BENCH_stream.json -shards`).
 bench-shard-short:
 	$(GO) run ./cmd/fdxbench -stream /tmp/BENCH_stream_ci.json -fast -shards
+
+# End-to-end benchmark correctness smoke: one short untraced run of each
+# _perfbench workload. wide and tall check their FD list and B hash
+# against the pinned reference.json; ingest checks the served B against
+# an in-process accumulator. Any failed check exits non-zero.
+perfbench-smoke:
+	for w in wide tall ingest; do \
+		bash _perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done
 
 # Regenerate every paper table/figure at report scale (slow).
 experiments:

@@ -117,7 +117,6 @@ func runDiscover(args []string) int {
 		normalize = fs.Bool("normalize", false, "print candidate keys and a 3NF synthesis from the discovered FDs")
 		textSim   = fs.Bool("text-similarity", false, "use 3-gram similarity for text columns")
 		numTol    = fs.Float64("numeric-tol", 0, "relative tolerance for numeric equality")
-		compact   = fs.Bool("compact", false, "store transformed samples as float32 (half the memory, identical results)")
 	)
 	tflags := addTelemetryFlags(fs)
 	fs.Parse(args)
@@ -160,7 +159,6 @@ func runDiscover(args []string) int {
 		Seed:             *seed,
 		TextSimilarity:   *textSim,
 		NumericTolerance: *numTol,
-		CompactTransform: *compact,
 	}
 	tel.apply(&dopts)
 	res, err := fdx.Discover(rel, dopts)
@@ -215,7 +213,6 @@ func runStream(args []string) int {
 		heatmap    = fs.Bool("heatmap", false, "print the autoregression matrix heatmap")
 		textSim    = fs.Bool("text-similarity", false, "use 3-gram similarity for text columns (must match across resumes)")
 		numTol     = fs.Float64("numeric-tol", 0, "relative tolerance for numeric equality (must match across resumes)")
-		compact    = fs.Bool("compact", false, "store transformed samples as float32 (half the memory, identical results; may differ across resumes)")
 		batchDelay = fs.Duration("batch-delay", 0, "sleep this long after each batch (throttle for live inspection)")
 		shards     = fs.Int("shards", 1, "fan batches across N supervised local shard workers (1 = sequential); the result is bit-identical at any N")
 		shardTries = fs.Int("shard-retries", 3, "restarts allowed per crashed or stalled shard worker")
@@ -245,7 +242,6 @@ func runStream(args []string) int {
 		Seed:             *seed,
 		TextSimilarity:   *textSim,
 		NumericTolerance: *numTol,
-		CompactTransform: *compact,
 	}
 	tel.apply(&opts)
 

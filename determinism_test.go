@@ -1,11 +1,14 @@
 package fdx_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"fdx"
+	"fdx/internal/core"
+	"fdx/internal/linalg"
 )
 
 // discoverTwice runs Discover twice with identical options and returns both
@@ -142,8 +145,8 @@ func groupedRelation(rng *rand.Rand, groups, rows int, noise float64) *fdx.Relat
 // TestDiscoverWideScreenedDeterministic runs discovery on a wide
 // block-structured relation where the covariance screening pass
 // genuinely splits the solve, and demands element-wise identical FDs and
-// bit-identical B across worker counts and across the float32 compact
-// store — the end-to-end version of the blocked solver's determinism
+// bit-identical B across worker counts and against the float sample
+// path — the end-to-end version of the blocked solver's determinism
 // contract.
 func TestDiscoverWideScreenedDeterministic(t *testing.T) {
 	rel := groupedRelation(rand.New(rand.NewSource(31)), 6, 300, 0.02)
@@ -167,52 +170,124 @@ func TestDiscoverWideScreenedDeterministic(t *testing.T) {
 		assertIdentical(t, base, run(fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers}))
 	}
 	for _, workers := range []int{1, 8} {
-		compact := run(fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers, CompactTransform: true})
-		assertIdentical(t, base, compact)
-		if compact.Diagnostics.GlassoBlocks != base.Diagnostics.GlassoBlocks {
-			t.Fatalf("compact store changed the screening partition: %d vs %d blocks",
-				compact.Diagnostics.GlassoBlocks, base.Diagnostics.GlassoBlocks)
+		ref := floatReference(t, rel, fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers})
+		assertIdentical(t, base, ref)
+		if ref.Diagnostics.GlassoBlocks != base.Diagnostics.GlassoBlocks {
+			t.Fatalf("bit store changed the screening partition: %d vs %d blocks",
+				base.Diagnostics.GlassoBlocks, ref.Diagnostics.GlassoBlocks)
 		}
 	}
 }
 
-// TestDiscoverDeterministicCompactTransform checks the float32 backing
-// store's headline contract on the standard test relation: identical FDs
-// and bit-identical B versus the float64 store, at multiple worker
-// counts.
+// resultOf converts a core model to the public result fields
+// assertIdentical compares.
+func resultOf(m *core.Model, names []string) *fdx.Result {
+	res := &fdx.Result{Attributes: names, Order: append([]int(nil), m.Order...)}
+	res.Diagnostics.GlassoBlocks = m.Diagnostics.GlassoBlocks
+	k := len(names)
+	res.B = make([][]float64, k)
+	for i := range res.B {
+		res.B[i] = append([]float64(nil), m.B.Row(i)...)
+	}
+	for _, fd := range m.FDs {
+		out := fdx.FD{RHS: names[fd.RHS], Score: fd.Score}
+		for _, x := range fd.LHS {
+			out.LHS = append(out.LHS, names[x])
+		}
+		res.FDs = append(res.FDs, out)
+	}
+	return res
+}
+
+// floatReference runs discovery through the float compatibility entries:
+// the unpacked sample block (core.TransformContext) and the float
+// stratified covariance (core.DiscoverFromSamplesContext). The pipeline
+// computes the same covariance from popcount counts over the bit store;
+// the two must agree bit for bit. Only Seed, Lambda and Workers carry
+// over from opts.
+func floatReference(t *testing.T, rel *fdx.Relation, opts fdx.Options) *fdx.Result {
+	t.Helper()
+	copts := core.Options{Lambda: opts.Lambda, Seed: opts.Seed, Workers: opts.Workers,
+		Transform: core.TransformOptions{Seed: opts.Seed, Workers: opts.Workers}}
+	dt, err := core.TransformContext(context.Background(), rel, copts.Transform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.DiscoverFromSamplesContext(context.Background(), dt, rel.AttrNames(), copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultOf(m, rel.AttrNames())
+}
+
+// TestDiscoverDeterministicCompactTransform checks the compact
+// (bit-packed, one bit per cell) sample store's headline contract on the
+// standard test relation: identical FDs and bit-identical B versus the
+// float sample path, at multiple worker counts.
 func TestDiscoverDeterministicCompactTransform(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		base, _ := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers})
-		compact, again := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers, CompactTransform: true})
-		assertIdentical(t, compact, again)
-		assertIdentical(t, base, compact)
+	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
+	for _, workers := range []int{1, 2, 4} {
+		opts := fdx.Options{Seed: 7, Workers: workers}
+		got, again := discoverTwice(t, opts)
+		assertIdentical(t, got, again)
+		assertIdentical(t, floatReference(t, rel, opts), got)
 	}
 }
 
 // TestAccumulatorDeterministicCompactTransform is the streaming variant:
-// batched absorption through the float32 store accumulates bit-identical
-// statistics, so discovery matches the float64 store exactly.
+// batched absorption through the bit store's popcount moments
+// accumulates the statistics a float accumulation of the unpacked samples
+// gives, so discovery matches it exactly at every worker count.
 func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
 	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
-	run := func(compact bool) *fdx.Result {
-		acc := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{Seed: 7, Workers: 4, CompactTransform: compact})
-		const batch = 100
-		for lo := 0; lo < rel.NumRows(); lo += batch {
-			hi := lo + batch
-			if hi > rel.NumRows() {
-				hi = rel.NumRows()
-			}
-			if err := acc.Add(rel.Slice(lo, hi)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := acc.Discover()
+	const batch = 100
+	k := rel.NumCols()
+	// The float reference: each batch's per-stratum moments summed from
+	// the unpacked sample rows, folded in through the WAL replay path.
+	ref := core.NewAccumulator(rel.AttrNames(), core.Options{Seed: 7})
+	for g, lo := 0, 0; lo < rel.NumRows(); g, lo = g+1, lo+batch {
+		b := rel.Slice(lo, min(lo+batch, rel.NumRows()))
+		dt, err := core.TransformContext(context.Background(), b, core.TransformOptions{Seed: 7 + int64(g)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		sn := dt.Rows() / k
+		d := &core.BatchDelta{Seq: g + 1, Global: g, Rows: b.NumRows(), Sums: make([][]float64, k), Outer: make([]*linalg.Dense, k)}
+		for s := 0; s < k; s++ {
+			d.Sums[s] = make([]float64, k)
+			d.Outer[s] = linalg.NewDense(k, k)
+			for i := s * sn; i < (s+1)*sn; i++ {
+				row := dt.Row(i)
+				for p := range row {
+					d.Sums[s][p] += row[p]
+					for q := range row {
+						d.Outer[s].Add(p, q, row[p]*row[q])
+					}
+				}
+			}
+		}
+		if err := ref.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
 	}
-	assertIdentical(t, run(false), run(true))
+	m, err := ref.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := resultOf(m, rel.AttrNames())
+	for _, workers := range []int{1, 2, 4} {
+		acc := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{Seed: 7, Workers: workers})
+		for lo := 0; lo < rel.NumRows(); lo += batch {
+			if err := acc.Add(rel.Slice(lo, min(lo+batch, rel.NumRows()))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := acc.Discover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, want, got)
+	}
 }
 
 // TestDiscoverDeterministicWithTelemetry checks that attaching a tracer and

@@ -95,18 +95,11 @@ type Options struct {
 	NumericTolerance float64
 	// TextSimilarity enables 3-gram Jaccard similarity for text columns.
 	TextSimilarity bool
-	// CompactTransform stores the transformed tuple-pair samples in a
-	// float32 backing store, halving the transform's memory footprint —
-	// the dominant allocation on wide schemas. The samples are 0/1
-	// indicators (exact in float32) and every consumer widens each
-	// element to float64 before any arithmetic, so the covariance, the
-	// precision estimate, and the discovered FDs are bit-for-bit
-	// identical to the default float64 store.
-	CompactTransform bool
-	// Workers sets the number of goroutines in the pair transform
-	// (0 = GOMAXPROCS, 1 = sequential) and in the numeric stages — the
-	// Graphical Lasso's screened-block fan-out and the streaming
-	// accumulator's per-stratum moments (there 0 also means sequential).
+	// Workers sets the number of goroutines in the pair transform and its
+	// count covariance (0 = GOMAXPROCS, 1 = sequential) and in the numeric
+	// stages — the Graphical Lasso's screened-block fan-out and the
+	// streaming accumulator's per-stratum moments (there 0 also means
+	// sequential).
 	// Every setting produces bit-for-bit identical results; see
 	// determinism_test.go.
 	Workers int
@@ -202,7 +195,6 @@ func coreOptions(opts Options) core.Options {
 			MaxRows:        opts.MaxRows,
 			NumericTol:     opts.NumericTolerance,
 			TextSimilarity: opts.TextSimilarity,
-			Compact:        opts.CompactTransform,
 			Workers:        opts.Workers,
 			Obs:            obs.Hooks{Tracer: opts.Tracer, Metrics: opts.Metrics, Labels: opts.MetricLabels},
 		},
@@ -238,25 +230,13 @@ func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (res *Res
 	copts.Obs.Count(obs.MDiscoverRuns, 1)
 	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
 	t0 := time.Now()
-	var model *core.Model
-	var t1 time.Time
-	if copts.Transform.Compact {
-		samples, terr := core.TransformContext32(ctx, rel, copts.Transform)
-		if terr != nil {
-			return nil, fmt.Errorf("fdx: %w", terr)
-		}
-		//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-		t1 = time.Now()
-		model, err = core.DiscoverFromSamples32Context(ctx, samples, rel.AttrNames(), copts)
-	} else {
-		samples, terr := core.TransformContext(ctx, rel, copts.Transform)
-		if terr != nil {
-			return nil, fmt.Errorf("fdx: %w", terr)
-		}
-		//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-		t1 = time.Now()
-		model, err = core.DiscoverFromSamplesContext(ctx, samples, rel.AttrNames(), copts)
+	samples, err := core.TransformBitsContext(ctx, rel, copts.Transform)
+	if err != nil {
+		return nil, fmt.Errorf("fdx: %w", err)
 	}
+	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
+	t1 := time.Now()
+	model, err := core.DiscoverFromBitsContext(ctx, samples, rel.AttrNames(), copts)
 	if err != nil {
 		return nil, fmt.Errorf("fdx: %w", err)
 	}

@@ -72,8 +72,8 @@ type Options struct {
 	// paths, and the accumulator's per-stratum moment accumulation (0 or
 	// 1 = serial). Results are bit-for-bit identical at any worker count;
 	// see internal/par for the chunking contract that guarantees it. The
-	// pair transform's fan-out is configured separately via
-	// Transform.Workers.
+	// fan-out of the pair transform and of the count covariance over its
+	// bit store is configured separately via Transform.Workers.
 	Workers int
 	// Seed drives the transform shuffle.
 	Seed int64
@@ -182,25 +182,13 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 	if k == 0 {
 		return &Model{Theta: linalg.NewDense(0, 0), B: linalg.NewDense(0, 0), Diagnostics: Diagnostics{GlassoConverged: true}, Trace: run}, nil
 	}
-	var m *Model
-	if opts.Transform.Compact {
-		dt, err := TransformContext32(ctx, rel, opts.Transform)
-		if err != nil {
-			return nil, err
-		}
-		m, err = DiscoverFromSamples32Context(ctx, dt, rel.AttrNames(), opts)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		dt, err := TransformContext(ctx, rel, opts.Transform)
-		if err != nil {
-			return nil, err
-		}
-		m, err = DiscoverFromSamplesContext(ctx, dt, rel.AttrNames(), opts)
-		if err != nil {
-			return nil, err
-		}
+	pb, err := TransformBitsContext(ctx, rel, opts.Transform)
+	if err != nil {
+		return nil, err
+	}
+	m, err := DiscoverFromBitsContext(ctx, pb, rel.AttrNames(), opts)
+	if err != nil {
+		return nil, err
 	}
 	run.End()
 	m.Trace = run
@@ -217,45 +205,41 @@ func DiscoverFromSamples(dt *linalg.Dense, names []string, opts Options) (*Model
 
 // DiscoverFromSamplesContext is DiscoverFromSamples with cancellation.
 func DiscoverFromSamplesContext(ctx context.Context, dt *linalg.Dense, names []string, opts Options) (*Model, error) {
-	opts.defaults()
-	k := len(names)
-	if c := dt.Cols(); c != k {
-		return nil, fdxerr.BadInput("core: sample matrix has %d columns, want %d", c, k)
+	if c := dt.Cols(); c != len(names) {
+		return nil, fdxerr.BadInput("core: sample matrix has %d columns, want %d", c, len(names))
 	}
-
-	csp := opts.Obs.StartStage("covariance")
-	var s *linalg.Dense
-	if opts.PooledCovariance {
-		s = stats.Covariance(dt)
-	} else {
+	return discoverFromMoments(ctx, names, opts, func() *linalg.Dense {
+		if opts.PooledCovariance {
+			return stats.Covariance(dt)
+		}
 		// One stratum per attribute-sorted block of the transform.
-		s = stats.StratifiedCovariance(dt, k)
-	}
-	csp.Attr("dim", k)
-	csp.End()
-	return DiscoverFromCovarianceContext(ctx, s, names, opts)
+		return stats.StratifiedCovariance(dt, len(names))
+	})
 }
 
-// DiscoverFromSamples32Context is DiscoverFromSamplesContext over the
-// compact float32 sample store (TransformOptions.Compact). The covariance
-// accumulates in float64 from the widened samples, so the model is
-// bit-identical to the float64 path's.
-func DiscoverFromSamples32Context(ctx context.Context, dt *linalg.Dense32, names []string, opts Options) (*Model, error) {
-	opts.defaults()
-	k := len(names)
-	if c := dt.Cols(); c != k {
-		return nil, fdxerr.BadInput("core: sample matrix has %d columns, want %d", c, k)
+// DiscoverFromBitsContext is DiscoverFromSamplesContext over the
+// bit-packed sample store — the pipeline's own path. The covariance comes
+// from popcount co-occurrence counts (fanned out over Transform.Workers),
+// bit-identical to the float estimators on the unpacked block.
+func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, opts Options) (*Model, error) {
+	if pb.k != len(names) {
+		return nil, fdxerr.BadInput("core: sample store has %d columns, want %d", pb.k, len(names))
 	}
+	return discoverFromMoments(ctx, names, opts, func() *linalg.Dense {
+		if opts.PooledCovariance {
+			return pb.Covariance(opts.Transform.Workers)
+		}
+		return pb.StratifiedCovariance(opts.Transform.Workers)
+	})
+}
 
+// discoverFromMoments estimates the pair-model covariance with cov under
+// the "covariance" stage span, then runs structure learning on it.
+func discoverFromMoments(ctx context.Context, names []string, opts Options, cov func() *linalg.Dense) (*Model, error) {
+	opts.defaults()
 	csp := opts.Obs.StartStage("covariance")
-	var s *linalg.Dense
-	if opts.PooledCovariance {
-		s = stats.Covariance32(dt)
-	} else {
-		// One stratum per attribute-sorted block of the transform.
-		s = stats.StratifiedCovariance32(dt, k)
-	}
-	csp.Attr("dim", k)
+	s := cov()
+	csp.Attr("dim", len(names))
 	csp.End()
 	return DiscoverFromCovarianceContext(ctx, s, names, opts)
 }

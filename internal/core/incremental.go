@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 
 	"fdx/internal/dataset"
 	"fdx/internal/fdxerr"
@@ -208,36 +207,6 @@ func (a *Accumulator) Add(rel *dataset.Relation) error {
 	return err
 }
 
-// dtPool recycles the transformed-sample buffers of Absorb: transformInto
-// writes every cell, so a recycled buffer needs no zeroing, and the
-// streaming steady state allocates only each batch's delta.
-var dtPool = sync.Pool{New: func() any { return &dtBuf{} }}
-
-type dtBuf struct {
-	data   []float64
-	data32 []float32
-}
-
-func getDT(rows, cols int) (*dtBuf, *linalg.Dense) {
-	db := dtPool.Get().(*dtBuf)
-	if cap(db.data) < rows*cols {
-		db.data = make([]float64, rows*cols)
-	}
-	db.data = db.data[:rows*cols]
-	return db, linalg.NewDenseData(rows, cols, db.data)
-}
-
-// getDT32 is getDT for the compact float32 sample store
-// (TransformOptions.Compact): same pooling, half the bytes per cell.
-func getDT32(rows, cols int) (*dtBuf, *linalg.Dense32) {
-	db := dtPool.Get().(*dtBuf)
-	if cap(db.data32) < rows*cols {
-		db.data32 = make([]float32, rows*cols)
-	}
-	db.data32 = db.data32[:rows*cols]
-	return db, linalg.NewDense32Data(rows, cols, db.data32)
-}
-
 // Absorb is Add returning the batch's statistics delta, so durable callers
 // can log exactly what was folded in and replay it after a crash. The
 // batch lands at the next uncovered global index (NextGlobal), which for a
@@ -304,24 +273,12 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	topts.Obs = h
 	topts.Seed = a.opts.Seed + int64(global)
 	sn, _ := transformDims(rel, &topts)
-	// The compact store halves the transform buffer; the accumulated
-	// moments below stay float64 either way and are bit-identical (the
-	// samples are exact 0/1 in both stores).
-	var (
-		db   *dtBuf
-		dt   *linalg.Dense
-		dt32 *linalg.Dense32
-	)
-	if topts.Compact {
-		db, dt32 = getDT32(sn*k, k)
-		if err := transformInto[float32](context.Background(), rel, topts, dt32); err != nil {
-			return nil, err
-		}
-	} else {
-		db, dt = getDT(sn*k, k)
-		if err := transformInto[float64](context.Background(), rel, topts, dt); err != nil {
-			return nil, err
-		}
+	// The bit store's buffer is recycled through dtPool.
+	db := dtPool.Get().(*dtBuf)
+	pb := newPairBits(sn, k, db.words)
+	db.words = pb.bits
+	if err := transformInto(context.Background(), rel, topts, pb); err != nil {
+		return nil, err
 	}
 	d := &BatchDelta{
 		Seq:    a.batches + 1,
@@ -331,8 +288,8 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 		Outer:  make([]*linalg.Dense, k),
 	}
 	asp := h.StartStage("accumulate")
-	// Per-stratum moments of this batch alone: stratum s is transformed
-	// rows [s·sn, (s+1)·sn). Strata are independent — stratum s owns
+	// Per-stratum moments of this batch alone, as popcount counts over
+	// stratum s's column bitsets. Strata are independent — stratum s owns
 	// d.Sums[s] and d.Outer[s] — so they fan out across the worker pool;
 	// results are identical at any worker count.
 	workers := a.opts.Workers
@@ -346,11 +303,7 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 			csp.Attr("stratum", s)
 			sums := make([]float64, k)
 			out := linalg.NewDense(k, k)
-			if dt32 != nil {
-				accumulateStratum32(dt32, s, sn, sums, out)
-			} else {
-				accumulateStratum(dt, s, sn, sums, out)
-			}
+			pb.stratumMoments(s, sums, out)
 			d.Sums[s] = sums
 			d.Outer[s] = out
 			csp.End()
@@ -365,73 +318,6 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	h.Count(obs.MRowsAbsorbed, uint64(n))
 	h.Count(obs.MBatchesAbsorbed, 1)
 	return d, nil
-}
-
-// accumulateStratum folds the sn sample rows of stratum s into the
-// per-column sums and the outer-product sum. Only the upper triangle is
-// accumulated — via fused Axpy updates over each row's tail — and then
-// mirrored; the mirror is exact because element (q,p) would sum the very
-// same products in the very same order as (p,q).
-// Panics if out is not k×k or dt's rows cannot cover the stratum.
-// (fdx:numeric-kernel: the exact-zero test is a sparsity fast path over the
-// mostly-zero pair-transform samples.)
-func accumulateStratum(dt *linalg.Dense, s, sn int, sums []float64, out *linalg.Dense) {
-	k := len(sums)
-	if r, c := out.Dims(); r != k || c != k {
-		panic("core: accumulateStratum outer product is not k×k")
-	}
-	if rows, cols := dt.Dims(); cols != k || (s+1)*sn > rows {
-		panic("core: accumulateStratum stratum exceeds transform rows")
-	}
-	for i := 0; i < sn; i++ {
-		row := dt.Row(s*sn + i)
-		for p := 0; p < k; p++ {
-			vp := row[p]
-			if vp == 0 {
-				continue
-			}
-			sums[p] += vp
-			linalg.Axpy(vp, row[p:], out.Row(p)[p:])
-		}
-	}
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			out.Set(q, p, out.At(p, q))
-		}
-	}
-}
-
-// accumulateStratum32 is accumulateStratum over the compact float32
-// sample store: every element widens to float64 before the fused Axpy32
-// update, so on the 0/1 transform samples the accumulated moments are
-// bit-identical to the float64 path's.
-// Panics if out is not k×k or dt's rows cannot cover the stratum.
-// (fdx:numeric-kernel: the exact-zero test is a sparsity fast path over the
-// mostly-zero pair-transform samples.)
-func accumulateStratum32(dt *linalg.Dense32, s, sn int, sums []float64, out *linalg.Dense) {
-	k := len(sums)
-	if r, c := out.Dims(); r != k || c != k {
-		panic("core: accumulateStratum32 outer product is not k×k")
-	}
-	if rows, cols := dt.Dims(); cols != k || (s+1)*sn > rows {
-		panic("core: accumulateStratum32 stratum exceeds transform rows")
-	}
-	for i := 0; i < sn; i++ {
-		row := dt.Row(s*sn + i)
-		for p := 0; p < k; p++ {
-			vp := float64(row[p])
-			if vp == 0 {
-				continue
-			}
-			sums[p] += vp
-			linalg.Axpy32(vp, row[p:], out.Row(p)[p:])
-		}
-	}
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			out.Set(q, p, out.At(p, q))
-		}
-	}
 }
 
 // ApplyDelta folds a batch's statistics delta into the running sums — the

@@ -112,30 +112,28 @@ func TestAccumulatorMatchesFullRecomputeApproximately(t *testing.T) {
 }
 
 // TestAccumulateStratumZeroAlloc pins the absorb inner loop at zero
-// allocations per stratum: the kernel works entirely in caller-provided
-// sums and outer-product buffers, so steady-state absorption costs only
-// the per-batch delta bookkeeping.
+// allocations per stratum: the popcount kernel works entirely in
+// caller-provided sums and outer-product buffers, so steady-state
+// absorption costs only the per-batch delta bookkeeping.
 func TestAccumulateStratumZeroAlloc(t *testing.T) {
-	const k, sn = 8, 64
-	dt := linalg.NewDense(k*sn, k)
+	const k, sn = 8, 100
+	pb := newPairBits(sn, k, nil)
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < k*sn; i++ {
-		row := dt.Row(i)
-		for j := range row {
-			if rng.Intn(3) == 0 {
-				row[j] = 1
+	for s := 0; s < k; s++ {
+		for l := 0; l < k; l++ {
+			col := pb.col(s, l)
+			for w := range col {
+				col[w] = rng.Uint64()
 			}
+			col[len(col)-1] &= 1<<(sn%64) - 1 // zero past the stratum's end
 		}
 	}
 	sums := make([]float64, k)
 	out := linalg.NewDense(k, k)
 	allocs := testing.AllocsPerRun(10, func() {
-		for i := range sums {
-			sums[i] = 0
-		}
-		accumulateStratum(dt, 2, sn, sums, out)
+		pb.stratumMoments(2, sums, out)
 	})
 	if allocs != 0 {
-		t.Fatalf("accumulateStratum allocates %.1f times per stratum, want 0", allocs)
+		t.Fatalf("stratumMoments allocates %.1f times per stratum, want 0", allocs)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -35,18 +34,11 @@ type TransformOptions struct {
 	// TextThreshold is the Jaccard similarity above which two text values
 	// are considered equal (default 0.9).
 	TextThreshold float64
-	// Workers sets the number of goroutines processing attribute blocks
-	// (0 = GOMAXPROCS, 1 = sequential). Each attribute's sorted block is
-	// independent, so the output is identical at any worker count.
+	// Workers sets the number of goroutines processing attribute blocks,
+	// and in discovery the count covariance's row chunks (0 = GOMAXPROCS,
+	// 1 = sequential). Each attribute's sorted block is independent, so
+	// the output is identical at any worker count.
 	Workers int
-	// Compact stores the transformed sample block in float32, halving the
-	// memory footprint and traffic of the n·k × k sample matrix — the
-	// lever that matters on wide schemas, where the sample block dwarfs
-	// every other allocation. The transform emits only 0/1 indicator
-	// cells, which float32 represents exactly, and every consumer widens
-	// to float64 before accumulating (covariance sums and solves stay
-	// float64), so results are bit-identical to the float64 store.
-	Compact bool
 	// Obs carries the optional telemetry sinks; inherited from the
 	// pipeline options by core.Options.defaults. Never part of the
 	// checkpoint fingerprint.
@@ -79,40 +71,35 @@ func Transform(rel *dataset.Relation, opts TransformOptions) *linalg.Dense {
 
 // TransformContext is Transform with cancellation: workers poll the context
 // between attribute blocks and every few thousand pair rows, and a wrapped
-// ctx.Err() is returned promptly on expiry.
+// ctx.Err() is returned promptly on expiry. It is the float view of
+// TransformBitsContext — the bit store unpacked — for callers that bring
+// their own float estimators; the pipeline itself consumes the bits.
 func TransformContext(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*linalg.Dense, error) {
-	opts.defaults()
-	n, k := transformDims(rel, &opts)
-	if n == 0 || k == 0 {
-		return linalg.NewDense(0, k), nil
-	}
-	out := linalg.NewDense(n*k, k)
-	if err := transformInto[float64](ctx, rel, opts, out); err != nil {
+	pb, err := TransformBitsContext(ctx, rel, opts)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return pb.Dense(), nil
 }
 
-// TransformContext32 is TransformContext with the float32 backing store of
-// TransformOptions.Compact: same sample block, half the memory. The 0/1
-// indicator cells are exact in float32, so a float64 widening of the
-// result is bit-identical to TransformContext's output.
-func TransformContext32(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*linalg.Dense32, error) {
+// TransformBitsContext runs the pair transform into the bit-packed sample
+// store (see PairBits), with TransformContext's cancellation contract.
+func TransformBitsContext(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*PairBits, error) {
 	opts.defaults()
 	n, k := transformDims(rel, &opts)
+	pb := newPairBits(n, k, nil)
 	if n == 0 || k == 0 {
-		return linalg.NewDense32(0, k), nil
+		return pb, nil
 	}
-	out := linalg.NewDense32(n*k, k)
-	if err := transformInto[float32](ctx, rel, opts, out); err != nil {
+	if err := transformInto(ctx, rel, opts, pb); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return pb, nil
 }
 
 // transformDims returns the shape of the transform's sample block: the
 // effective tuple count after MaxRows sampling and the attribute count.
-// The output matrix is (rows·cols) × cols. opts must have defaults
+// The unpacked block is (rows·cols) × cols. opts must have defaults
 // applied.
 func transformDims(rel *dataset.Relation, opts *TransformOptions) (rows, cols int) {
 	rows, cols = rel.NumRows(), rel.NumCols()
@@ -132,19 +119,24 @@ type colCtx struct {
 	grams *textGrams
 }
 
-// transformInto is the core of the pair transform, writing the sample
-// block into the caller's preallocated out matrix (shape per
-// transformDims; every cell is written, so recycled buffers need no
-// zeroing). opts must have defaults applied. It is generic over the
-// element type so the float64 and Compact float32 backing stores share
-// one implementation — the emitted cells are the exact integers 0 and 1
-// in either type, which is what makes the compact store lossless.
-func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relation, opts TransformOptions, out interface{ Row(int) []F }) error {
+// pollPairs is the transform's cancellation cadence: workers check the
+// context every pollPairs pairs of an attribute block. A multiple of 64,
+// so every poll falls on a word boundary of the bit store.
+const pollPairs = 4096
+
+// transformInto is the core of the pair transform, writing the bit-packed
+// sample block into out (shape per transformDims; every word is written,
+// so recycled buffers need no zeroing). opts must have defaults applied.
+func transformInto(ctx context.Context, rel *dataset.Relation, opts TransformOptions, out *PairBits) error {
+	tsp := opts.Obs.StartStage("transform")
+	defer tsp.End()
 	n := rel.NumRows()
 	k := rel.NumCols()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	rows := make([]int, n)
+	bufs := dtPool.Get().(*dtBuf)
+	defer dtPool.Put(bufs)
+	rows := grow(&bufs.ints, n)
 	for i := range rows {
 		rows[i] = i
 	}
@@ -154,21 +146,34 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 		n = opts.MaxRows
 	}
 
-	// Pre-compute the per-column comparison contexts: numeric scales for
-	// approximate equality, 3-gram sets per distinct text value.
-	ctxs := make([]colCtx, k)
+	// Pre-compute the per-column comparison contexts — numeric scales for
+	// approximate equality, 3-gram sets per distinct text value — and a
+	// row-major copy of the sampled tuples' codes: position i (tuple
+	// rows[i]) holds its k codes contiguously, so a pair reads both
+	// tuples from two short runs instead of 2k scattered column cells.
+	ps := &pairScan{k: k, rows: rows, codes: grow(&bufs.codes, n*k), ctxs: make([]colCtx, k), opts: &opts, out: out}
+	maxCard := 0
 	for j, col := range rel.Columns {
 		// Building a text column's 3-gram sets scans every distinct value;
 		// honor cancellation between columns.
 		if err := ctx.Err(); err != nil {
 			return fdxerr.Cancelled(err)
 		}
-		ctxs[j].col = col
+		ps.ctxs[j].col = col
 		if col.Type == dataset.Numeric {
-			ctxs[j].scale = numericScale(col, rows)
+			ps.ctxs[j].scale = numericScale(col, rows)
+			ps.approx = append(ps.approx, j)
 		}
 		if col.Type == dataset.Text && opts.TextSimilarity {
-			ctxs[j].grams = buildTextGrams(col)
+			ps.ctxs[j].grams = buildTextGrams(col)
+			ps.approx = append(ps.approx, j)
+		}
+		if c := col.Cardinality(); c > maxCard {
+			maxCard = c
+		}
+		codes := col.Codes()
+		for i, r := range rows {
+			ps.codes[i*k+j] = codes[r]
 		}
 	}
 
@@ -180,8 +185,6 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 	if workers > k {
 		workers = k
 	}
-	tsp := opts.Obs.StartStage("transform")
-	defer tsp.End()
 	tsp.Attr("rows", n)
 	tsp.Attr("attrs", k)
 	tsp.Attr("workers", workers)
@@ -196,7 +199,12 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 			wsp := tsp.Child("worker")
 			wsp.SetTrack(w + 2)
 			defer wsp.End()
-			sorted := make([]int, n)
+			wbufs := dtPool.Get().(*dtBuf)
+			defer dtPool.Put(wbufs)
+			sorted := grow(&wbufs.ints, n)
+			keys := grow(&wbufs.codes, n)
+			counts := grow(&wbufs.counts, maxCard+1)
+			acc := grow(&wbufs.words, k)
 			for attr := range attrCh {
 				// Cancelled: keep draining the channel so the feeder never
 				// blocks, but stop doing work.
@@ -206,26 +214,15 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 				bsp := wsp.Child("block")
 				bsp.Attr("attr", rel.Columns[attr].Name)
 				faults.Sleep(faults.SlowStage)
-				copy(sorted, rows)
-				col := rel.Columns[attr]
-				sort.SliceStable(sorted, func(a, b int) bool {
-					return col.Code(sorted[a]) < col.Code(sorted[b])
-				})
-				base := attr * n
-				for j := 0; j < n; j++ {
-					if j&0xfff == 0 && ctx.Err() != nil {
+				for i := range keys {
+					keys[i] = ps.codes[i*k+attr]
+				}
+				sortByCode(sorted, keys, counts[:rel.Columns[attr].Cardinality()+1])
+				for j0 := 0; j0 < n; j0 += pollPairs {
+					if ctx.Err() != nil {
 						break
 					}
-					a := sorted[j]
-					b := sorted[(j+1)%n]
-					row := out.Row(base + j)
-					for l := range ctxs {
-						if cellsEqual(&ctxs[l], a, b, &opts) {
-							row[l] = 1
-						} else {
-							row[l] = 0
-						}
-					}
+					ps.block(attr, sorted, j0, min(j0+pollPairs, n), acc)
 				}
 				bsp.End()
 			}
@@ -241,6 +238,116 @@ func transformInto[F float32 | float64](ctx context.Context, rel *dataset.Relati
 	}
 	opts.Obs.Count(obs.MTransformPairs, uint64(n)*uint64(k))
 	return nil
+}
+
+// dtPool recycles the transform's working memory — the streaming path
+// transforms every batch, and with it pooled its steady state allocates
+// little beyond each batch's delta. Every buffer is fully rewritten before
+// it is read, so recycled ones need no zeroing (counts and the word
+// accumulators are reset where they are used).
+var dtPool = sync.Pool{New: func() any { return new(dtBuf) }}
+
+// dtBuf is one user's working memory for a transform: the coordinator's
+// sampled rows and row-major codes, a worker's sort order, sort keys,
+// counting-sort counts and word accumulators, or Absorb's bit store.
+type dtBuf struct {
+	ints, counts []int
+	codes        []int32
+	words        []uint64
+}
+
+// grow returns (*buf)[:n], reallocating *buf when it is too short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// pairScan is the read-only state the transform workers share: the
+// sampled tuples (rows) and their row-major codes, the comparison
+// contexts, the attributes whose unequal codes may still match (numeric
+// tolerance, text similarity), and the output store.
+type pairScan struct {
+	k      int
+	rows   []int
+	codes  []int32
+	ctxs   []colCtx
+	approx []int
+	opts   *TransformOptions
+	out    *PairBits
+}
+
+// block writes stratum attr's bits for pairs [j0, j1), where pair j joins
+// sorted positions j and j+1 (circularly). j0 is a multiple of 64, so
+// the block covers whole words of every column (the last one zero-padded
+// past the stratum's end); acc is a length-k scratch of word
+// accumulators. Panics if acc is not length k.
+func (ps *pairScan) block(attr int, sorted []int, j0, j1 int, acc []uint64) {
+	k, n := ps.k, len(sorted)
+	if len(acc) != k {
+		panic("core: pairScan.block accumulator is not length k")
+	}
+	for w0 := j0; w0 < j1; w0 += 64 {
+		w1 := min(w0+64, j1)
+		for l := range acc {
+			acc[l] = 0
+		}
+		for j := w0; j < w1; j++ {
+			next := j + 1
+			if next == n {
+				next = 0
+			}
+			pa, pb := sorted[j], sorted[next]
+			ra := ps.codes[pa*k : pa*k+k]
+			rb := ps.codes[pb*k : pb*k+k]
+			rb, acc := rb[:len(ra)], acc[:len(ra)]
+			sh := uint(j-w0) & 63
+			for l, ca := range ra {
+				// Branch-free: 1 iff the codes are equal and not Missing
+				// (−1, the only negative code).
+				same := (uint64(uint32(ca^rb[l])) - 1) >> 63
+				present := ^uint64(int64(ca)) >> 63
+				acc[l] |= (same & present) << sh
+			}
+			for _, l := range ps.approx {
+				if ca, cb := ra[l], rb[l]; ca != cb && cellsEqual(&ps.ctxs[l], ps.rows[pa], ps.rows[pb], ca, cb, ps.opts) {
+					acc[l] |= 1 << sh
+				}
+			}
+		}
+		w := w0 >> 6
+		for l, word := range acc {
+			ps.out.col(attr, l)[w] = word
+		}
+	}
+}
+
+// sortByCode writes the positions 0..len(keys)-1 into dst stably ordered
+// by their dictionary codes in keys, Missing (−1) first: a counting sort
+// over code+1, producing exactly the permutation sort.SliceStable gives
+// under keys[a] < keys[b]. counts needs one slot per code+1 (the column's
+// cardinality plus one). Panics if dst and keys differ in length.
+func sortByCode(dst []int, keys []int32, counts []int) {
+	if len(dst) != len(keys) {
+		panic("core: sortByCode destination and keys differ in length")
+	}
+	for i := range counts {
+		counts[i] = 0
+	}
+	for _, c := range keys {
+		counts[c+1]++
+	}
+	pos := 0
+	for i, c := range counts {
+		counts[i] = pos
+		pos += c
+	}
+	for i, c := range keys {
+		dst[counts[c+1]] = i
+		counts[c+1]++
+	}
 }
 
 // numericScale returns a robust per-column value scale (max−min over the
@@ -267,19 +374,18 @@ func numericScale(col *dataset.Column, rows []int) float64 {
 	return max - min
 }
 
-// cellsEqual is the per-type difference operator of §4.1: exact code
-// equality for categorical data, tolerance-based equality for numeric data,
-// optional q-gram similarity for text (against the precomputed per-code
-// gram sets in cc).
-func cellsEqual(cc *colCtx, a, b int, opts *TransformOptions) bool {
-	col := cc.col
-	ca, cb := col.Code(a), col.Code(b)
+// cellsEqual is the per-type difference operator of §4.1 on tuples a and
+// b with codes ca and cb: exact code equality for categorical data,
+// tolerance-based equality for numeric data, optional q-gram similarity
+// for text (against the precomputed per-code gram sets in cc).
+func cellsEqual(cc *colCtx, a, b int, ca, cb int32, opts *TransformOptions) bool {
 	if ca == dataset.Missing || cb == dataset.Missing {
 		return false
 	}
 	if ca == cb {
 		return true
 	}
+	col := cc.col
 	switch col.Type {
 	case dataset.Numeric:
 		fa, fb := col.Float(a), col.Float(b)

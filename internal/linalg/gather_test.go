@@ -130,59 +130,3 @@ func TestGatherScatterZeroAlloc(t *testing.T) {
 		}
 	}
 }
-
-func TestAxpy32MatchesFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	n := 131 // odd length exercises the unrolled tail
-	x32 := make([]float32, n)
-	x64 := make([]float64, n)
-	for i := range x32 {
-		// 0/1 indicator values — the pair-transform samples Axpy32 exists
-		// for — are exact in float32, so both accumulations must agree
-		// bit-for-bit.
-		v := float64(rng.Intn(2))
-		x32[i] = float32(v)
-		x64[i] = v
-	}
-	y1 := make([]float64, n)
-	y2 := make([]float64, n)
-	for i := range y1 {
-		y1[i] = rng.NormFloat64()
-		y2[i] = y1[i]
-	}
-	alpha := 0.37
-	Axpy32(alpha, x32, y1)
-	Axpy(alpha, x64, y2)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("Axpy32[%d] = %v, Axpy = %v", i, y1[i], y2[i])
-		}
-	}
-	if allocs := testing.AllocsPerRun(20, func() { Axpy32(alpha, x32, y1) }); allocs != 0 {
-		t.Errorf("Axpy32: %v allocs/op, want 0", allocs)
-	}
-}
-
-func TestDense32Basics(t *testing.T) {
-	m := NewDense32(3, 4)
-	if r, c := m.Dims(); r != 3 || c != 4 {
-		t.Fatalf("Dims = %d,%d", r, c)
-	}
-	m.Set(1, 2, 5)
-	if m.At(1, 2) != 5 || m.Row(1)[2] != 5 {
-		t.Fatalf("Set/At/Row disagree")
-	}
-	if m.Rows() != 3 || m.Cols() != 4 || len(m.Data()) != 12 {
-		t.Fatalf("Rows/Cols/Data disagree with dimensions")
-	}
-	sub := NewDense32Data(2, 2, m.Data()[:4])
-	if &sub.Data()[0] != &m.Data()[0] {
-		t.Fatal("NewDense32Data copied instead of aliasing")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewDense32Data: no panic on length mismatch")
-		}
-	}()
-	NewDense32Data(2, 2, make([]float32, 3))
-}

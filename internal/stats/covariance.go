@@ -96,18 +96,33 @@ func Covariance(data *linalg.Dense) *linalg.Dense {
 	accumulateMoments(data, sums, s)
 	inv := 1 / float64(n)
 	for a := 0; a < k; a++ {
-		mua := sums[a] * inv
 		for b := a; b < k; b++ {
-			v := s.At(a, b)*inv - mua*(sums[b]*inv)
-			if b == a && v < 0 {
-				v = 0
-			}
+			v := CenteredMoment(s.At(a, b), sums[a], sums[b], inv, b == a)
 			s.Set(a, b, v)
 			s.Set(b, a, v)
 		}
 	}
 	vecPool.Put(vb)
 	return s
+}
+
+// CenteredMoment is the covariance entry E[xy] − E[x]·E[y] over n
+// observations, from the raw co-moment sum c, the column sums sa and sb,
+// and inv = 1/n, evaluated as c·inv − (sa·inv)·(sb·inv). A variance entry
+// (diag) is clamped at zero so round-off on a near-constant column can
+// never produce a negative variance.
+//
+// It is the one place this expression lives: Covariance applies it to
+// float sums, and the pair transform's bit-packed sample store
+// (internal/core) applies it to popcount co-occurrence counts. On 0/1
+// samples the float sums are exactly those integers, so both produce the
+// same bits.
+func CenteredMoment(c, sa, sb, inv float64, diag bool) float64 {
+	v := c*inv - (sa*inv)*(sb*inv)
+	if diag && v < 0 {
+		return 0
+	}
+	return v
 }
 
 // SecondMoment returns (1/n)·XᵀX without mean-centering. This is the
