@@ -9,9 +9,10 @@ import (
 
 // MapOrder flags `range` over a map when the loop body builds ordered
 // output — appending to a slice, writing slice elements, sending on a
-// channel, building a string, or printing. Go randomizes map iteration
-// order per run, so such loops are the classic source of nondeterministic
-// FD lists, tableaux, and orderings. Commutative aggregation (counting,
+// channel, building a string, printing, or drawing from a seeded
+// *rand.Rand. Go randomizes map iteration order per run, so such loops
+// are the classic source of nondeterministic FD lists, tableaux,
+// orderings, and seeded generators. Commutative aggregation (counting,
 // summing, filling another map or set) is order-insensitive and not
 // flagged, and an appended slice that is subsequently passed to a
 // sort/slices call in the same function is considered fixed up.
@@ -102,6 +103,12 @@ func orderedSink(pass *Pass, body *ast.BlockStmt) (sink string, target types.Obj
 				sink = "calls " + name
 				return false
 			}
+			// A seeded generator's draws are a fixed sequence; handing them
+			// out in map order makes which key gets which draw vary per run.
+			if isRandDraw(pass.Info, st) {
+				sink = "draws from a seeded *rand.Rand"
+				return false
+			}
 		}
 		return true
 	})
@@ -175,6 +182,29 @@ func isString(info *types.Info, e ast.Expr) bool {
 	}
 	b, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsString != 0
+}
+
+// isRandDraw reports whether call is a method call on a math/rand (or
+// math/rand/v2) Rand.
+func isRandDraw(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	tv, ok := info.Types[sel.X]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	t := tv.Type
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Name() != "Rand" {
+		return false
+	}
+	path := named.Obj().Pkg().Path()
+	return path == "math/rand" || path == "math/rand/v2"
 }
 
 // printLikeCall matches fmt print/sprint functions and Write* methods on

@@ -1,7 +1,10 @@
 // Package maporder is a fixture for the maporder analyzer.
 package maporder
 
-import "sort"
+import (
+	"math/rand"
+	"sort"
+)
 
 // Keys appends map keys in iteration order and never sorts them.
 func Keys(m map[string]int) []string {
@@ -39,4 +42,21 @@ func Count(m map[string]int) int {
 		n++
 	}
 	return n
+}
+
+// Jitter draws from a seeded generator in map order, so which key gets
+// which draw changes from run to run.
+func Jitter(m map[string]float64, rng *rand.Rand) map[string]float64 {
+	out := make(map[string]float64, len(m))
+	for k, v := range m { // want:maporder
+		out[k] = v + rng.Float64()
+	}
+	return out
+}
+
+// JitterSorted draws in sorted key order: not a finding.
+func JitterSorted(keys []string, m map[string]float64, rng *rand.Rand) {
+	for _, k := range keys {
+		m[k] += rng.Float64()
+	}
 }

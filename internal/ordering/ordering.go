@@ -14,8 +14,8 @@ package ordering
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"fdx/internal/fdxerr"
 	"fdx/internal/linalg"
@@ -37,62 +37,75 @@ const (
 // Methods lists all ordering method names (the Table 9 sweep).
 var Methods = []string{Heuristic, Natural, AMD, COLAMD, METIS, NESDIS}
 
-// Graph is an undirected graph in adjacency-set form.
+// Graph is an undirected graph stored as one adjacency bitset per node:
+// row v is words consecutive uint64s of bits, bit u set iff u ~ v. The
+// elimination graph of the minimum-degree and fill computations lives in
+// the same form, so eliminating a node is a word-wise OR per neighbor.
 type Graph struct {
-	n   int
-	adj []map[int]bool
+	n, words int
+	bits     []uint64
 }
 
 // NewGraph returns an empty graph on n nodes.
 func NewGraph(n int) *Graph {
-	g := &Graph{n: n, adj: make([]map[int]bool, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]bool)
-	}
-	return g
+	words := (n + 63) / 64
+	return &Graph{n: n, words: words, bits: make([]uint64, n*words)}
 }
+
+// row returns node v's adjacency bitset.
+func (g *Graph) row(v int) []uint64 { return g.bits[v*g.words : (v+1)*g.words] }
+
+// has reports whether the edge (a, b) is present.
+func (g *Graph) has(a, b int) bool { return g.bits[a*g.words+b>>6]&(1<<(b&63)) != 0 }
 
 // AddEdge inserts the undirected edge (a, b); self-loops are ignored.
 func (g *Graph) AddEdge(a, b int) {
 	if a == b {
 		return
 	}
-	g.adj[a][b] = true
-	g.adj[b][a] = true
+	g.row(a)[b>>6] |= 1 << (b & 63)
+	g.row(b)[a>>6] |= 1 << (a & 63)
 }
 
 // N returns the node count.
 func (g *Graph) N() int { return g.n }
 
 // Edges returns the undirected edge count.
-func (g *Graph) Edges() int {
-	half := 0
-	for _, nb := range g.adj {
-		half += len(nb)
-	}
-	return half / 2
-}
+func (g *Graph) Edges() int { return onesCount(g.bits) / 2 }
 
 // Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return onesCount(g.row(v)) }
 
 // Neighbors returns the sorted neighbor list of node v.
 func (g *Graph) Neighbors(v int) []int {
-	out := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		out = append(out, u)
+	out := make([]int, 0, g.Degree(v))
+	for w, word := range g.row(v) {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // clone returns a deep copy of g.
 func (g *Graph) clone() *Graph {
-	c := NewGraph(g.n)
-	for v, nb := range g.adj {
-		for u := range nb {
-			c.adj[v][u] = true
-		}
+	return &Graph{n: g.n, words: g.words, bits: append([]uint64(nil), g.bits...)}
+}
+
+// degrees returns every node's degree.
+func (g *Graph) degrees() []int {
+	deg := make([]int, g.n)
+	for v := range deg {
+		deg[v] = g.Degree(v)
+	}
+	return deg
+}
+
+// onesCount is the population count of a bitset.
+func onesCount(set []uint64) int {
+	c := 0
+	for _, w := range set {
+		c += bits.OnesCount64(w)
 	}
 	return c
 }
@@ -172,78 +185,102 @@ func order(method string, g *Graph, seed int64) (linalg.Permutation, error) {
 // that a better order would have kept zero.
 func Fill(g0 *Graph, perm linalg.Permutation) int {
 	g := g0.clone()
+	deg := g.degrees()
 	fill := 0
 	for _, v := range perm {
-		nbs := g.Neighbors(v)
-		for i := 0; i < len(nbs); i++ {
-			for j := i + 1; j < len(nbs); j++ {
-				if !g.adj[nbs[i]][nbs[j]] {
-					fill++
-					g.AddEdge(nbs[i], nbs[j])
-				}
-			}
-		}
-		for _, u := range nbs {
-			delete(g.adj[u], v)
-		}
-		g.adj[v] = map[int]bool{}
+		fill += g.eliminate(v, deg)
 	}
 	return fill
 }
 
-// degreeFn scores a candidate node in the current elimination graph; lower
-// is eliminated earlier.
-type degreeFn func(g *Graph, original *Graph, v int) int
-
-// exactDegree is the true degree in the elimination graph.
-func exactDegree(g *Graph, _ *Graph, v int) int { return len(g.adj[v]) }
-
-// approximateDegree upper-bounds the post-elimination degree by the sum of
-// neighbor degrees (Amestoy-style bound, without quotient-graph bookkeeping).
-func approximateDegree(g *Graph, _ *Graph, v int) int {
-	d := 0
-	for u := range g.adj[v] {
-		d += len(g.adj[u])
+// eliminate removes v from the elimination graph: each neighbor u takes
+// row(u) |= row(v) with bits u and v cleared, which joins v's neighbors
+// into a clique, and deg[u] follows. It returns the clique edges that were
+// missing, counted by and-not popcounts before the OR — the fill this
+// elimination creates. Each neighbor costs O(n/64) word operations.
+//
+// fdx:zero-alloc
+func (g *Graph) eliminate(v int, deg []int) (fill int) {
+	rv := g.row(v)
+	for w, word := range rv {
+		for ; word != 0; word &= word - 1 {
+			u := w<<6 | bits.TrailingZeros64(word)
+			ru := g.row(u)
+			missing := -1 // u itself is in N(v) but not in N(u)
+			for k, x := range rv {
+				missing += bits.OnesCount64(x &^ ru[k])
+				ru[k] |= x
+			}
+			ru[u>>6] &^= 1 << (u & 63)
+			ru[v>>6] &^= 1 << (v & 63)
+			deg[u] += missing - 1 // gains the missing edges, loses v
+			fill += missing
+		}
 	}
-	return d
+	clear(rv)
+	deg[v] = 0
+	return fill / 2 // each missing edge was counted from both ends
 }
 
-// staticDegree ignores fill and uses the original column counts (a
-// colamd-flavored heuristic: cheap, column-driven).
-func staticDegree(_ *Graph, original *Graph, v int) int { return len(original.adj[v]) }
+// scoreKind selects the minimum-degree elimination score; lower is
+// eliminated earlier.
+type scoreKind int
+
+const (
+	// exactDegree is the true degree in the elimination graph.
+	exactDegree scoreKind = iota
+	// approximateDegree upper-bounds the post-elimination degree by the
+	// sum of neighbor degrees (Amestoy-style, no quotient graph).
+	approximateDegree
+	// staticDegree ignores fill and uses the original column counts (a
+	// colamd-flavored heuristic: cheap, column-driven).
+	staticDegree
+)
+
+// pickMin returns the live node with the lowest score, ties broken on the
+// lower index. deg holds the degrees the score reads: the elimination
+// graph's, or the original graph's for staticDegree.
+//
+// fdx:zero-alloc
+func (g *Graph) pickMin(score scoreKind, deg []int, eliminated []bool) int {
+	best, bestScore := -1, math.MaxInt
+	for v, done := range eliminated {
+		if done {
+			continue
+		}
+		s := deg[v]
+		if score == approximateDegree {
+			s = 0
+			for w, word := range g.row(v) {
+				for ; word != 0; word &= word - 1 {
+					s += deg[w<<6|bits.TrailingZeros64(word)]
+				}
+			}
+		}
+		if s < bestScore {
+			best, bestScore = v, s
+		}
+	}
+	return best
+}
 
 // minDegree runs the elimination-graph minimum degree algorithm with the
-// supplied scoring function. Ties break on the lower original index, making
-// the ordering deterministic.
-func minDegree(g0 *Graph, score degreeFn) linalg.Permutation {
+// given score. Ties break on the lower original index, making the ordering
+// deterministic.
+func minDegree(g0 *Graph, score scoreKind) linalg.Permutation {
 	g := g0.clone()
-	n := g.n
-	eliminated := make([]bool, n)
-	perm := make(linalg.Permutation, 0, n)
-	for len(perm) < n {
-		best, bestScore := -1, math.MaxInt
-		for v := 0; v < n; v++ {
-			if eliminated[v] {
-				continue
-			}
-			s := score(g, g0, v)
-			if s < bestScore {
-				best, bestScore = v, s
-			}
-		}
-		// Eliminate: connect neighbors into a clique, then remove the node.
-		nbs := g.Neighbors(best)
-		for i := 0; i < len(nbs); i++ {
-			for j := i + 1; j < len(nbs); j++ {
-				g.AddEdge(nbs[i], nbs[j])
-			}
-		}
-		for _, u := range nbs {
-			delete(g.adj[u], best)
-		}
-		g.adj[best] = map[int]bool{}
-		eliminated[best] = true
-		perm = append(perm, best)
+	deg := g.degrees()
+	scored := deg
+	if score == staticDegree {
+		scored = g0.degrees()
+	}
+	eliminated := make([]bool, g.n)
+	perm := make(linalg.Permutation, 0, g.n)
+	for len(perm) < g.n {
+		v := g.pickMin(score, scored, eliminated)
+		g.eliminate(v, deg)
+		eliminated[v] = true
+		perm = append(perm, v)
 	}
 	return perm
 }
@@ -253,94 +290,71 @@ func minDegree(g0 *Graph, score degreeFn) linalg.Permutation {
 // columns are eliminated late, confining fill). When refine is true a
 // greedy boundary-shrinking pass imitates METIS-style refinement.
 func nestedDissection(g *Graph, refine bool) linalg.Permutation {
-	nodes := make([]int, g.n)
-	for i := range nodes {
-		nodes[i] = i
-	}
 	var out linalg.Permutation
 	var recurse func(sub []int)
 	recurse = func(sub []int) {
-		if len(sub) <= 3 {
-			// Base case: order the fragment by minimum degree.
-			sg, back := inducedSubgraph(g, sub)
-			p := minDegree(sg, exactDegree)
-			for _, v := range p {
-				out = append(out, back[v])
-			}
-			return
+		sg := inducedSubgraph(g, sub)
+		var left, right, sep []int
+		if len(sub) > 3 {
+			left, right, sep = bisect(sg, refine)
 		}
-		sg, back := inducedSubgraph(g, sub)
-		left, right, sep := bisect(sg, refine)
-		// Guard against non-progressing splits (one side swallowing the
-		// whole fragment): fall back to minimum degree for the fragment.
-		if len(left) == len(sub) || len(right) == len(sub) {
-			p := minDegree(sg, exactDegree)
-			for _, v := range p {
-				out = append(out, back[v])
+		// Small fragments, and splits that make no progress (one side
+		// swallowing the whole fragment), are ordered by minimum degree.
+		if len(sub) <= 3 || len(left) == len(sub) || len(right) == len(sub) {
+			for _, v := range minDegree(sg, exactDegree) {
+				out = append(out, sub[v])
 			}
 			return
 		}
 		mapBack := func(vs []int) []int {
 			o := make([]int, len(vs))
 			for i, v := range vs {
-				o[i] = back[v]
+				o[i] = sub[v]
 			}
 			return o
 		}
 		recurse(mapBack(left))
 		recurse(mapBack(right))
-		for _, v := range mapBack(sep) {
-			out = append(out, v)
-		}
+		out = append(out, mapBack(sep)...)
 	}
-	recurse(nodes)
+	recurse(linalg.IdentityPerm(g.n))
 	return out
 }
 
-// inducedSubgraph returns the subgraph on the given original nodes plus the
-// local→original index map.
-func inducedSubgraph(g *Graph, nodes []int) (*Graph, []int) {
-	local := make(map[int]int, len(nodes))
-	for i, v := range nodes {
-		local[v] = i
-	}
+// inducedSubgraph returns the subgraph on the given original nodes; local
+// node i is nodes[i].
+func inducedSubgraph(g *Graph, nodes []int) *Graph {
 	sg := NewGraph(len(nodes))
 	for i, v := range nodes {
-		for u := range g.adj[v] {
-			if j, ok := local[u]; ok {
+		for j := i + 1; j < len(nodes); j++ {
+			if g.has(v, nodes[j]) {
 				sg.AddEdge(i, j)
 			}
 		}
 	}
-	back := append([]int(nil), nodes...)
-	return sg, back
+	return sg
 }
 
 // bisect splits g into (left, right, separator) via a BFS level structure
 // from a pseudo-peripheral vertex. Disconnected remainders go to the
 // smaller side. With refine, separator nodes that touch only one side are
-// greedily pushed into that side.
+// greedily pushed into that side. Each part lists its nodes ascending.
 func bisect(g *Graph, refine bool) (left, right, sep []int) {
 	n := g.n
-	start := pseudoPeripheral(g)
-	level := bfsLevels(g, start)
+	level := bfsLevels(g, pseudoPeripheral(g))
 	// Unreached nodes (other components) get the max level + 1.
 	maxLevel := 0
 	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
+		maxLevel = max(maxLevel, l)
 	}
-	for v := range level {
-		if level[v] < 0 {
+	counts := make([]int, maxLevel+2)
+	for v, l := range level {
+		if l < 0 {
 			level[v] = maxLevel + 1
 		}
+		counts[level[v]]++
 	}
 	// Pick the cut level so roughly half the nodes fall below it.
-	counts := make([]int, maxLevel+2)
-	for _, l := range level {
-		counts[l]++
-	}
 	cut, acc := 0, 0
 	for l, c := range counts {
 		acc += c
@@ -349,50 +363,50 @@ func bisect(g *Graph, refine bool) (left, right, sep []int) {
 			break
 		}
 	}
-	for v := 0; v < n; v++ {
+	side := make([]int8, n) // 0 left, 1 right, 2 separator
+	for v, l := range level {
 		switch {
-		case level[v] < cut:
+		case l == cut:
+			side[v] = 2
+		case l > cut:
+			side[v] = 1
+		}
+	}
+	switch {
+	case counts[cut] == n:
+		// Degenerate split, everything on the cut level: fall back to an
+		// even index split.
+		clear(side)
+		for v := n / 2; v < n; v++ {
+			side[v] = 1
+		}
+	case refine:
+		shrinkSeparator(g, side)
+	}
+	for v, sd := range side {
+		switch sd {
+		case 0:
 			left = append(left, v)
-		case level[v] == cut:
-			sep = append(sep, v)
-		default:
+		case 1:
 			right = append(right, v)
+		default:
+			sep = append(sep, v)
 		}
-	}
-	// Degenerate splits: fall back to an even index split.
-	if len(left) == 0 && len(right) == 0 {
-		mid := n / 2
-		for v := 0; v < n; v++ {
-			if v < mid {
-				left = append(left, v)
-			} else {
-				right = append(right, v)
-			}
-		}
-		return left, right, nil
-	}
-	if refine {
-		left, right, sep = shrinkSeparator(g, left, right, sep)
 	}
 	return left, right, sep
 }
 
 // shrinkSeparator moves separator nodes adjacent to only one side into that
 // side, shrinking the separator (a light imitation of KL/FM refinement).
-func shrinkSeparator(g *Graph, left, right, sep []int) (l, r, s []int) {
-	side := make(map[int]int) // 0 left, 1 right, 2 sep
-	for _, v := range left {
-		side[v] = 0
-	}
-	for _, v := range right {
-		side[v] = 1
-	}
-	for _, v := range sep {
-		side[v] = 2
-	}
-	for _, v := range sep {
+// side holds each node's part as bisect encodes it; separator nodes are
+// visited in ascending order, each seeing the moves made before it.
+func shrinkSeparator(g *Graph, side []int8) {
+	for v, sd := range side {
+		if sd != 2 {
+			continue
+		}
 		touchLeft, touchRight := false, false
-		for u := range g.adj[v] {
+		for _, u := range g.Neighbors(v) {
 			switch side[u] {
 			case 0:
 				touchLeft = true
@@ -407,28 +421,11 @@ func shrinkSeparator(g *Graph, left, right, sep []int) (l, r, s []int) {
 			side[v] = 1
 		}
 	}
-	for v, sd := range side {
-		switch sd {
-		case 0:
-			l = append(l, v)
-		case 1:
-			r = append(r, v)
-		default:
-			s = append(s, v)
-		}
-	}
-	sort.Ints(l)
-	sort.Ints(r)
-	sort.Ints(s)
-	return l, r, s
 }
 
 // pseudoPeripheral finds an approximate graph-diameter endpoint by repeated
 // BFS (the standard Gibbs-Poole-Stockmeyer style sweep).
 func pseudoPeripheral(g *Graph) int {
-	if g.n == 0 {
-		return 0
-	}
 	v := 0
 	for iter := 0; iter < 4; iter++ {
 		level := bfsLevels(g, v)

@@ -2,7 +2,9 @@ package ordering
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,12 +25,11 @@ func randomGraph(rng *rand.Rand, n int, p float64) *Graph {
 }
 
 func TestAllMethodsProducePermutations(t *testing.T) {
-	methods := append([]string{Reverse, Random}, Methods...)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(25)
 		g := randomGraph(rng, n, 0.3)
-		for _, m := range methods {
+		for _, m := range allMethods {
 			p, err := Order(m, g, seed)
 			if err != nil || len(p) != n || !p.IsValid() {
 				return false
@@ -105,8 +106,10 @@ func TestFromPrecision(t *testing.T) {
 		0, 1e-9, 1,
 	})
 	g := FromPrecision(theta, 1e-6)
-	if !g.adj[0][1] || g.adj[1][2] || g.adj[0][2] {
-		t.Errorf("graph edges wrong: %v", g.adj)
+	for v, want := range [][]int{{1}, {0}, {}} {
+		if got := g.Neighbors(v); !slices.Equal(got, want) {
+			t.Errorf("Neighbors(%d) = %v, want %v", v, got, want)
+		}
 	}
 	if g.Degree(0) != 1 || g.Degree(2) != 0 {
 		t.Error("degrees wrong")
@@ -231,5 +234,179 @@ func TestNeighborsSorted(t *testing.T) {
 	}
 	if g.N() != 4 {
 		t.Error("N wrong")
+	}
+}
+
+// allMethods is every method Order accepts.
+var allMethods = []string{Natural, Reverse, Random, Heuristic, AMD, COLAMD, METIS, NESDIS}
+
+// buildBoth builds the same graph as a bitset Graph and as the map-based
+// oracle graph.
+func buildBoth(n int, edge func(i, j int) bool) (*Graph, *mapGraph) {
+	g, m := NewGraph(n), newMapGraph(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if edge(i, j) {
+				g.AddEdge(i, j)
+				m.AddEdge(i, j)
+			}
+		}
+	}
+	return g, m
+}
+
+// TestMatchesMapOracle is the differential test of the bitset graph against
+// the frozen map-based implementation (oracle_test.go): the graph queries
+// node by node, and the permutation and Fill of every method, must agree
+// exactly.
+func TestMatchesMapOracle(t *testing.T) {
+	type graphCase struct {
+		name string
+		g    *Graph
+		m    *mapGraph
+	}
+	var cases []graphCase
+	add := func(name string, n int, edge func(i, j int) bool) {
+		g, m := buildBoth(n, edge)
+		cases = append(cases, graphCase{name, g, m})
+	}
+	rng := rand.New(rand.NewSource(15))
+	random := func(p float64) func(i, j int) bool {
+		return func(i, j int) bool { return rng.Float64() < p }
+	}
+	for trial := 0; trial < 150; trial++ {
+		n, p := 1+rng.Intn(150), rng.Float64()
+		switch trial {
+		case 0:
+			p = 0
+		case 1:
+			p = 1
+		}
+		add(fmt.Sprintf("random n=%d p=%.2f", n, p), n, random(p))
+	}
+	add("empty", 0, nil)
+	for _, n := range []int{1, 2, 5, 63, 64, 65, 128} {
+		for _, p := range []float64{0.05, 0.5, 0.95} {
+			add(fmt.Sprintf("random n=%d p=%.2f", n, p), n, random(p))
+		}
+		add(fmt.Sprintf("complete n=%d", n), n, func(i, j int) bool { return true })
+		add(fmt.Sprintf("star n=%d", n), n, func(i, j int) bool { return i == n/2 || j == n/2 })
+		add(fmt.Sprintf("path n=%d", n), n, func(i, j int) bool { return j == i+1 })
+		add(fmt.Sprintf("disconnected n=%d", n), n, func(i, j int) bool {
+			// Two interleaved random components plus isolated nodes.
+			return i%3 != 2 && j%3 == i%3 && rng.Float64() < 0.3
+		})
+	}
+	for _, c := range cases {
+		g, m := c.g, c.m
+		if g.N() != m.N() || g.Edges() != m.Edges() {
+			t.Fatalf("%s: N/Edges %d/%d, oracle %d/%d", c.name, g.N(), g.Edges(), m.N(), m.Edges())
+		}
+		for v := 0; v < g.N(); v++ {
+			nb := g.Neighbors(v)
+			if nb == nil || !slices.Equal(nb, m.Neighbors(v)) || g.Degree(v) != m.Degree(v) {
+				t.Fatalf("%s: node %d: neighbors %v (degree %d), oracle %v (degree %d)",
+					c.name, v, nb, g.Degree(v), m.Neighbors(v), m.Degree(v))
+			}
+		}
+		for _, method := range allMethods {
+			got, err := Order(method, g, 42)
+			want, werr := oracleOrder(method, m, 42)
+			if err != nil || werr != nil {
+				t.Fatalf("%s %s: %v / %v", c.name, method, err, werr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s: perm %v, oracle %v", c.name, method, got, want)
+			}
+			if f, wf := Fill(g, got), oracleFill(m, want); f != wf {
+				t.Fatalf("%s %s: fill %d, oracle %d", c.name, method, f, wf)
+			}
+		}
+	}
+	// Nested dissection recurses through these helpers on subgraphs; pin
+	// them directly too.
+	for _, c := range cases {
+		if c.g.N() == 0 {
+			continue
+		}
+		if !slices.Equal(bfsLevels(c.g, c.g.N()-1), oracleBFSLevels(c.m, c.m.N()-1)) {
+			t.Fatalf("%s: bfsLevels differ", c.name)
+		}
+		for _, refine := range []bool{false, true} {
+			l, r, s := bisect(c.g, refine)
+			ol, or, os := oracleBisect(c.m, refine)
+			if !slices.Equal(l, ol) || !slices.Equal(r, or) || !slices.Equal(s, os) {
+				t.Fatalf("%s refine=%v: bisect (%v %v %v), oracle (%v %v %v)", c.name, refine, l, r, s, ol, or, os)
+			}
+		}
+	}
+}
+
+// TestEliminationKernelsZeroAlloc is the runtime half of the zero-alloc
+// contract on the per-step elimination and the degree scan.
+func TestEliminationKernelsZeroAlloc(t *testing.T) {
+	g0 := randomGraph(rand.New(rand.NewSource(3)), 130, 0.4)
+	g := g0.clone()
+	deg0 := g0.degrees()
+	deg := g0.degrees()
+	eliminated := make([]bool, g.N())
+	eliminated[7] = true
+	kernels := []struct {
+		name string
+		f    func()
+	}{
+		{"eliminate", func() {
+			copy(g.bits, g0.bits)
+			copy(deg, deg0)
+			g.eliminate(65, deg)
+		}},
+		{"pickMin", func() {
+			g.pickMin(exactDegree, deg, eliminated)
+			g.pickMin(approximateDegree, deg, eliminated)
+		}},
+	}
+	for _, k := range kernels {
+		if allocs := testing.AllocsPerRun(20, k.f); allocs != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", k.name, allocs)
+		}
+	}
+}
+
+// plantedBlockGraph is a block-sparse graph: dense blocks of the given size
+// joined by a few random cross-block edges, the shape glasso leaves on a
+// planted wide schema.
+func plantedBlockGraph(rng *rand.Rand, n, block int) *Graph {
+	g := NewGraph(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			p := 0.001
+			if i/block == j/block {
+				p = 0.7
+			}
+			if rng.Float64() < p {
+				g.AddEdge(i, j)
+			}
+		}
+	}
+	return g
+}
+
+func BenchmarkOrderHeuristic(b *testing.B) {
+	graphs := []struct {
+		name string
+		g    *Graph
+	}{
+		{"dense-p384", randomGraph(rand.New(rand.NewSource(1)), 384, 0.9)},
+		{"planted-p1024", plantedBlockGraph(rand.New(rand.NewSource(2)), 1024, 32)},
+	}
+	for _, bc := range graphs {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Order(Heuristic, bc.g, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

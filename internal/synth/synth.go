@@ -196,16 +196,20 @@ func Generate(cfg Config) *Instance {
 		rel.AppendRow(vals)
 	}
 
-	// Noise: flip cells of FD-participating attributes.
+	// Noise: flip cells of FD-participating attributes, column by column in
+	// ascending order so the draws land on the same cells for a given seed.
 	if cfg.NoiseRate > 0 {
-		participating := map[int]bool{}
+		participating := make([]bool, r)
 		for _, fd := range inst.TrueFDs {
 			participating[fd.RHS] = true
 			for _, a := range fd.LHS {
 				participating[a] = true
 			}
 		}
-		for a := range participating {
+		for a, ok := range participating {
+			if !ok {
+				continue
+			}
 			col := rel.Columns[a]
 			card := int32(col.Cardinality())
 			if card < 2 {

@@ -98,20 +98,22 @@ func TestIntRoot(t *testing.T) {
 }
 
 func TestGenerateDeterministicBySeed(t *testing.T) {
-	f := func(seed int64) bool {
-		a := Generate(Config{Tuples: 50, Attributes: 6, DomainCardinality: 27, Seed: seed})
-		b := Generate(Config{Tuples: 50, Attributes: 6, DomainCardinality: 27, Seed: seed})
-		for i := 0; i < 50; i++ {
-			ra, rb := a.Relation.Row(i), b.Relation.Row(i)
-			for j := range ra {
-				if ra[j] != rb[j] {
-					return false
+	for _, noise := range []float64{0, 0.01} {
+		f := func(seed int64) bool {
+			cfg := Config{Tuples: 50, Attributes: 6, DomainCardinality: 27, NoiseRate: noise, Seed: seed}
+			a, b := Generate(cfg), Generate(cfg)
+			for i := 0; i < 50; i++ {
+				ra, rb := a.Relation.Row(i), b.Relation.Row(i)
+				for j := range ra {
+					if ra[j] != rb[j] {
+						return false
+					}
 				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+			t.Errorf("NoiseRate %v: %v", noise, err)
+		}
 	}
 }
