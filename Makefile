@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint lint-tests lint-baseline lint-report test-race test-faults test-crash test-serve test-shard fuzz bench bench-obs bench-flight bench-kernels bench-kernels-short bench-kernels-wide experiments fast-experiments bench-serve bench-serve-short bench-shard-short perfbench-smoke fmt loc
+.PHONY: all build test vet lint lint-tests lint-baseline lint-report test-race test-faults test-crash test-serve test-shard fuzz bench bench-obs bench-flight bench-kernels bench-kernels-short experiments fast-experiments perfbench-smoke fmt loc
 
 all: build vet lint test
 
@@ -94,47 +94,21 @@ bench-flight:
 	$(GO) test -run '^$$' -bench Flight -benchmem ./internal/obs/flight
 	FDX_FLIGHT_OVERHEAD=1 $(GO) test -run TestFlightOverhead -v ./internal/obs/flight
 
-# One testing.B benchmark per paper table/figure (reduced scale), plus the
-# checkpoint streaming benchmark (BENCH_stream.json).
+# One testing.B benchmark per paper table/figure (reduced scale).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-	$(GO) run ./cmd/fdxbench -stream BENCH_stream.json
 
-# Numeric-kernel benchmark: blocked matmul vs the frozen naive kernel, the
-# parallel Graphical Lasso vs the frozen seed solver, absorb throughput,
-# and steady-state allocation counts. Gates the fresh run against the
-# committed baseline (speedup ratios with 10% slack; allocs exactly), then
-# refreshes BENCH_kernels.json.
+# Numeric-kernel speedup gates (BenchmarkGate* in internal/linalg and
+# internal/glasso): blocked matmul vs the frozen naive kernel, the Graphical
+# Lasso vs the frozen seed solver, the screened wide-schema solve vs the
+# dense one, and the block fan-out's multi-core floor. Each gate times both
+# sides interleaved and fails below its named floor constant.
 bench-kernels:
-	$(GO) run ./cmd/fdxbench -kernels BENCH_kernels.json -wide -compare BENCH_kernels.json
+	$(GO) test -run '^$$' -bench Gate -benchtime 1x ./internal/linalg ./internal/glasso
 
-# CI smoke variant: reduced sizes and repetitions, gated against the
-# committed baseline without touching it.
+# CI smoke variant: -short keeps the sizes whose reference side stays cheap.
 bench-kernels-short:
-	$(GO) run ./cmd/fdxbench -kernels /tmp/BENCH_kernels_ci.json -short -compare BENCH_kernels.json
-
-# Wide-schema smoke: the screened block solver at p=256 (short mode keeps
-# the dense reference solve affordable), gated against the committed
-# baseline without touching it. The full wide sweep (p up to 1024) runs
-# via `make bench-kernels`.
-bench-kernels-wide:
-	$(GO) run ./cmd/fdxbench -kernels /tmp/BENCH_kernels_wide_ci.json -short -wide -compare BENCH_kernels.json
-
-# Service benchmark: multi-tenant ingest throughput over HTTP, discover
-# latency quantiles, and the shed rate under deliberate overload
-# (BENCH_serve.json).
-bench-serve:
-	$(GO) run ./cmd/fdxbench -serve BENCH_serve.json
-
-# CI smoke variant: reduced workload, report left in /tmp.
-bench-serve-short:
-	$(GO) run ./cmd/fdxbench -serve /tmp/BENCH_serve_ci.json -short
-
-# CI smoke variant of the shard-merge scaling section: reduced rows,
-# report left in /tmp (the committed BENCH_stream.json carries the full
-# run via `fdxbench -stream BENCH_stream.json -shards`).
-bench-shard-short:
-	$(GO) run ./cmd/fdxbench -stream /tmp/BENCH_stream_ci.json -fast -shards
+	$(GO) test -short -run '^$$' -bench Gate -benchtime 1x ./internal/linalg ./internal/glasso
 
 # End-to-end benchmark correctness smoke: one short untraced run of each
 # _perfbench workload. wide and tall check their FD list and B hash

@@ -9,6 +9,9 @@
 //
 // Each experiment prints the same rows/series the paper reports; see
 // DESIGN.md for the experiment index and EXPERIMENTS.md for recorded runs.
+// Performance is measured elsewhere: end to end by the _perfbench harness
+// (BENCHMARK.json), and per kernel by the BenchmarkGate* speedup gates in
+// internal/linalg and internal/glasso (make bench-kernels).
 package main
 
 import (
@@ -28,24 +31,8 @@ func main() {
 		timeout = flag.Duration("timeout", 0, "per-method timeout (0 = scale default)")
 		verbose = flag.Bool("v", false, "log per-method progress to stderr")
 		format  = flag.String("format", "text", "output format: text | json")
-		stream  = flag.String("stream", "", "run the checkpoint streaming benchmark and write its JSON report to this path")
-		srv     = flag.String("serve", "", "run the fdxd service benchmark and write its JSON report to this path")
-		kernels = flag.String("kernels", "", "run the numeric-kernel benchmark and write its JSON report to this path")
-		compare = flag.String("compare", "", "with -kernels: baseline report to gate against (>10% speedup-ratio regression or any alloc increase exits non-zero)")
-		short   = flag.Bool("short", false, "with -kernels: reduced sizes and repetitions for a CI smoke pass")
-		wide    = flag.Bool("wide", false, "with -kernels: include the wide-schema screened-glasso section (p up to 1024)")
-		shards  = flag.Bool("shards", false, "with -stream: include the shard-merge scaling section")
 	)
 	flag.Parse()
-	if *stream != "" {
-		os.Exit(runStreamBench(*stream, *seed, *fast, *shards))
-	}
-	if *srv != "" {
-		os.Exit(runServeBench(*srv, *short))
-	}
-	if *kernels != "" {
-		os.Exit(runKernelBench(*kernels, *compare, *short, *wide))
-	}
 	cfg := experiments.Config{Seed: *seed, Fast: *fast, Timeout: *timeout}
 	if *verbose {
 		cfg.Log = os.Stderr

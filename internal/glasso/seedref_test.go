@@ -1,16 +1,18 @@
-package main
+package glasso
 
 // This file freezes the seed revision's Graphical Lasso solve loop as the
-// reference the kernel-benchmark harness measures against. The optimized
-// solver in internal/glasso shares the algorithm but not the code: it
-// dispatches to fused/SIMD kernels, reuses pooled workspaces, and fans the
-// per-column linear algebra out across workers. Benchmarking against this
-// frozen copy keeps the "speedup vs seed" number honest across future
+// reference BenchmarkGateGlassoVsSeed (gate_test.go) measures against. The
+// optimized solver in this package shares the algorithm but not the code:
+// it dispatches to fused/SIMD kernels, reuses pooled workspaces, and fans
+// the per-column linear algebra out across workers. Benchmarking against
+// this frozen copy keeps the "speedup vs seed" number honest across future
 // refactors — do not modernize it.
 
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"testing"
 
 	"fdx/internal/linalg"
 )
@@ -182,5 +184,33 @@ func seedSoftThreshold(x, lambda float64) float64 {
 		return x + lambda
 	default:
 		return 0
+	}
+}
+
+// TestSeedGlassoAgreesWithSolver pins the frozen seed reference to the live
+// solver: same covariance, same hyper-parameters, covariance estimates
+// within solver tolerance of each other. If the live solver's algorithm
+// drifts, the speedup gate would silently compare unlike quantities.
+func TestSeedGlassoAgreesWithSolver(t *testing.T) {
+	s := spdCovariance(rand.New(rand.NewSource(24)), 24)
+	wSeed, iters, err := seedGlassoSolve(s, 0.1, 100, 1e-5, 200, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if iters < 1 {
+		t.Fatalf("seed solver reported %d sweeps", iters)
+	}
+	res, err := Solve(s, Options{Lambda: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := s.Dims()
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			d := math.Abs(wSeed.At(i, j) - res.Covariance.At(i, j))
+			if d > 1e-4 {
+				t.Fatalf("W[%d,%d]: seed %v vs solver %v (|Δ|=%g)", i, j, wSeed.At(i, j), res.Covariance.At(i, j), d)
+			}
+		}
 	}
 }

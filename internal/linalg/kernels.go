@@ -1,9 +1,10 @@
 package linalg
 
 // This file is the scalar/portable half of the numeric kernel layer: fused
-// vector primitives (Axpy, Dot), the cache-blocked register-tiled matrix
-// multiply, and the frozen seed kernel the benchmark-regression harness
-// measures against. On amd64 with AVX2+FMA the primitives dispatch to the
+// vector primitives (Axpy, Dot) and the cache-blocked register-tiled
+// matrix multiply. The multiply's speedup over the frozen seed kernel
+// (mulNaive in kernels_test.go) is gated by BenchmarkGateMatmul in
+// gate_test.go. On amd64 with AVX2+FMA the primitives dispatch to the
 // assembly kernels in kernels_amd64.s (runtime CPUID-detected, overridable
 // with FDX_NO_SIMD=1); everywhere else the Go fallbacks below run.
 //
@@ -30,11 +31,6 @@ import (
 // It is fixed at process start: CPUID does not change, and the
 // FDX_NO_SIMD override is read once.
 var simdEnabled = haveFMA() && os.Getenv("FDX_NO_SIMD") == ""
-
-// SimdEnabled reports whether the hand-written SIMD kernels are active in
-// this process (amd64 with AVX2+FMA, not disabled via FDX_NO_SIMD=1).
-// The benchmark harness records it next to every measurement.
-func SimdEnabled() bool { return simdEnabled }
 
 // Axpy computes y[i] += alpha*x[i] over the paired elements of x and y.
 // Panics if the slices have different lengths. An exactly-zero alpha still
@@ -128,34 +124,6 @@ func dotGeneric(x, y []float64) float64 {
 		s += x[i] * y[i]
 	}
 	return s
-}
-
-// MulNaive is the seed triple-loop matrix multiply, kept verbatim as the
-// reference kernel for the benchmark-regression harness (`fdxbench
-// -kernels` reports the blocked kernel's speedup against it) and as the
-// semantic oracle in the kernel equivalence tests. Production callers use
-// Mul/MulTo.
-// Panics if the inner dimensions disagree.
-func MulNaive(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	c := NewDense(a.rows, b.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			//fdx:lint-ignore floatcmp sparsity fast path: an exactly-zero multiplier contributes nothing to the accumulation
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c
 }
 
 // packPool recycles the A-panel packing buffers of MulTo so steady-state

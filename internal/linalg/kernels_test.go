@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,6 +13,32 @@ func randDense(rng *rand.Rand, r, c int) *Dense {
 		m.data[i] = rng.NormFloat64()
 	}
 	return m
+}
+
+// mulNaive is the seed triple-loop matrix multiply, kept verbatim as the
+// reference kernel for BenchmarkGateMatmul (gate_test.go gates the blocked
+// kernel's speedup against it) and as the semantic oracle in the kernel
+// equivalence tests. Production callers use Mul/MulTo.
+// Panics if the inner dimensions disagree.
+func mulNaive(a, b *Dense) *Dense {
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	c := NewDense(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				crow[j] += av * bv
+			}
+		}
+	}
+	return c
 }
 
 // TestMulMatchesNaive checks the blocked/SIMD multiply against the frozen
@@ -28,7 +55,7 @@ func TestMulMatchesNaive(t *testing.T) {
 		n, k, m := sh[0], sh[1], sh[2]
 		a := randDense(rng, n, k)
 		b := randDense(rng, k, m)
-		want := MulNaive(a, b)
+		want := mulNaive(a, b)
 		got := Mul(a, b)
 		// FMA fuses multiply-add, so allow last-bit drift scaled by the
 		// reduction length.
@@ -65,7 +92,7 @@ func TestMulToOverwritesResult(t *testing.T) {
 	b := randDense(rng, 11, 10)
 	c := randDense(rng, 9, 10) // garbage contents
 	MulTo(c, a, b)
-	want := MulNaive(a, b)
+	want := mulNaive(a, b)
 	if d := MaxAbsDiff(want, c); d > 1e-11 {
 		t.Errorf("stale c leaked into result: max diff %g", d)
 	}
@@ -145,8 +172,28 @@ func TestMulToZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestAxpyDotZeroAlloc checks that the fused vector primitives allocate
+// nothing per call: the runtime half of their zero-alloc contract.
+func TestAxpyDotZeroAlloc(t *testing.T) {
+	x := make([]float64, 1024)
+	y := make([]float64, 1024)
+	for i := range x {
+		x[i] = float64(i)
+		y[i] = float64(1024 - i)
+	}
+	sink := 0.0
+	allocs := testing.AllocsPerRun(20, func() {
+		Axpy(0.5, x, y)
+		sink += Dot(x, y)
+	})
+	if allocs > 0 {
+		t.Errorf("Axpy+Dot allocates %.1f times per op, want 0", allocs)
+	}
+	_ = sink
+}
+
 func BenchmarkMulBlocked256(b *testing.B) { benchMul(b, Mul) }
-func BenchmarkMulNaive256(b *testing.B)   { benchMul(b, MulNaive) }
+func BenchmarkMulNaive256(b *testing.B)   { benchMul(b, mulNaive) }
 
 func benchMul(b *testing.B, mul func(x, y *Dense) *Dense) {
 	rng := rand.New(rand.NewSource(12))

@@ -322,6 +322,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		`fdx_serve_discover_total{tenant="acme"} 1`,
 		`fdx_serve_sessions{tenant="acme"} 1`,
 		`fdx_serve_ingest_seconds_count{tenant="acme"} 1`,
+		`fdx_serve_discover_seconds_count{tenant="acme"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
