@@ -80,6 +80,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzMergeSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFlightDecode -fuzztime 30s ./internal/obs/flight
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzRowsBody -fuzztime 30s ./internal/serve
 
 # Telemetry micro-benchmarks plus the end-to-end overhead gate: a Discover
 # with live tracer+metrics must stay within 2% of a nil-sink run.

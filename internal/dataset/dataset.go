@@ -10,6 +10,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 )
 
@@ -111,20 +112,21 @@ func (c *Column) MissingCount() int {
 }
 
 // AppendValue appends a string cell, interning it in the dictionary.
-func (c *Column) AppendValue(v string) {
-	code, ok := c.index[v]
+func (c *Column) AppendValue(v string) { c.codes = append(c.codes, c.CodeOf(v)) }
+
+// AppendBytes appends the cell whose value is b, interning it in the
+// dictionary. A value already in the dictionary costs no allocation; a new
+// one is copied into a fresh string, so the column never aliases b.
+func (c *Column) AppendBytes(b []byte) {
+	code, ok := c.index[string(b)]
 	if !ok {
-		code = int32(len(c.dict))
-		c.index[v] = code
-		c.dict = append(c.dict, v)
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			f = math.NaN()
-		}
-		c.nums = append(c.nums, f)
+		code = c.intern(string(b))
 	}
 	c.codes = append(c.codes, code)
 }
+
+// Grow reserves room for n more tuples.
+func (c *Column) Grow(n int) { c.codes = slices.Grow(c.codes, n) }
 
 // AppendMissing appends a NULL cell.
 func (c *Column) AppendMissing() { c.codes = append(c.codes, Missing) }
@@ -140,19 +142,44 @@ func (c *Column) SetCode(i int, code int32) {
 
 // CodeOf returns the dictionary code for value v, interning it if new.
 func (c *Column) CodeOf(v string) int32 {
-	code, ok := c.index[v]
-	if !ok {
-		code = int32(len(c.dict))
-		c.index[v] = code
-		c.dict = append(c.dict, v)
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			f = math.NaN()
-		}
-		c.nums = append(c.nums, f)
+	if code, ok := c.index[v]; ok {
+		return code
 	}
+	return c.intern(v)
+}
+
+// intern adds v, known to be absent, to the dictionary and returns its
+// code.
+func (c *Column) intern(v string) int32 {
+	code := int32(len(c.dict))
+	c.index[v] = code
+	c.dict = append(c.dict, v)
+	c.nums = append(c.nums, parseNum(v))
 	return code
 }
+
+// parseNum is v's numeric value, NaN when strconv.ParseFloat rejects it.
+// ParseFloat accepts nothing whose first byte is outside [0-9+-.iInN]
+// (digits, signs, a leading point, inf/infinity, nan), so such values skip
+// the call and the *NumError it would allocate.
+func parseNum(v string) float64 {
+	if v == "" || !mayStartFloat[v[0]] {
+		return math.NaN()
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return f
+}
+
+// mayStartFloat marks the bytes a string ParseFloat accepts can begin with.
+var mayStartFloat = func() (t [256]bool) {
+	for _, b := range []byte("0123456789+-.iInN") {
+		t[b] = true
+	}
+	return t
+}()
 
 // DictValue returns the string for a dictionary code.
 func (c *Column) DictValue(code int32) string { return c.dict[code] }

@@ -102,6 +102,49 @@ func TestSetCodePanicsOutOfRange(t *testing.T) {
 	c.SetCode(0, 5)
 }
 
+// TestNumsMatchParseFloat pins the intern routine's first-byte filter: a
+// value's numeric slot is exactly strconv.ParseFloat's result (NaN on any
+// error), through both AppendValue and AppendBytes.
+func TestNumsMatchParseFloat(t *testing.T) {
+	for _, v := range []string{
+		"inf", "-Inf", "+Infinity", "NaN", "nan", "+.5", ".5", "-0", "0x1p-2", "1e400",
+		"1_0", "0x_1p0", "_1", "v12", " 1", "1 ", "١", "e5", "N", "i", "-", ".", "+", "x",
+	} {
+		want, err := strconv.ParseFloat(v, 64)
+		if err != nil {
+			want = math.NaN()
+		}
+		byValue, byBytes := NewColumn("s", Categorical), NewColumn("b", Categorical)
+		byValue.AppendValue(v)
+		byBytes.AppendBytes([]byte(v))
+		for _, c := range []*Column{byValue, byBytes} {
+			if got := c.Float(0); math.Float64bits(got) != math.Float64bits(want) &&
+				!(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Errorf("%s: nums[%q] = %v, ParseFloat gives %v", c.Name, v, got, want)
+			}
+		}
+	}
+}
+
+func TestAppendBytesInternsWithoutAliasing(t *testing.T) {
+	c := NewColumn("a", Categorical)
+	buf := []byte("xy")
+	c.AppendBytes(buf)
+	c.AppendValue("xy")
+	buf[0] = 'z'
+	c.AppendBytes(buf)
+	if c.Code(0) != c.Code(1) || c.Code(2) == c.Code(0) {
+		t.Fatalf("codes %v: equal values must share a code, distinct ones not", c.Codes())
+	}
+	if v, _ := c.Value(0); v != "xy" {
+		t.Errorf("dictionary aliases the appended bytes: value %q, want \"xy\"", v)
+	}
+	c.Grow(200)
+	if allocs := testing.AllocsPerRun(100, func() { c.AppendBytes(buf) }); allocs > 0 {
+		t.Errorf("appending a known value allocates %.1f times", allocs)
+	}
+}
+
 func TestCodeOfInterning(t *testing.T) {
 	c := NewColumn("a", Categorical)
 	x := c.CodeOf("x")

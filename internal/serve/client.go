@@ -171,7 +171,7 @@ func (c *ShardClient) once(ctx context.Context, op string, attempt int, method, 
 	}
 	defer resp.Body.Close()
 	graftEcho(sp, resp.Header.Get(TraceEchoHeader))
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBytes))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 	if err != nil {
 		return 0, fmt.Errorf("serve: reading %s %s response: %w", method, path, err)
 	}

@@ -439,22 +439,3 @@ func equalNames(a, b []string) bool {
 	}
 	return true
 }
-
-// buildRelation converts wire rows into a relation over the session's
-// attributes. Empty strings become NULLs (dataset convention).
-func buildRelation(names []string, rows [][]string) (*fdx.Relation, *httpError) {
-	if len(rows) == 0 {
-		return nil, serveError(400, CodeBadInput, "rows must be non-empty")
-	}
-	rel := fdx.NewRelation("wire", names...)
-	for i, row := range rows {
-		if len(row) != len(names) {
-			return nil, serveError(400, CodeBadInput, fmt.Sprintf(
-				"row %d has %d values, schema has %d attributes", i, len(row), len(names)))
-		}
-		if err := rel.AppendRow(row); err != nil {
-			return nil, serveError(400, CodeBadInput, err.Error())
-		}
-	}
-	return rel, nil
-}

@@ -35,9 +35,9 @@ func shardSnapshot(t *testing.T, opts fdx.Options, attrs []string, batches ...in
 	t.Helper()
 	acc := fdx.NewAccumulator(attrs, opts)
 	for _, g := range batches {
-		rel, herr := buildRelation(attrs, genRows(shardRows, g*shardRows))
-		if herr != nil {
-			t.Fatalf("building batch %d: %s", g, herr.Message)
+		rel, err := batchRelation(attrs, genRows(shardRows, g*shardRows))
+		if err != nil {
+			t.Fatalf("building batch %d: %v", g, err)
 		}
 		if err := acc.AddAt(rel, g); err != nil {
 			t.Fatalf("AddAt(%d): %v", g, err)
