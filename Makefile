@@ -74,14 +74,15 @@ test-serve:
 test-shard:
 	$(GO) test -race -run 'Shard' ./cmd/fdx ./internal/serve/... ./cmd/fdxd .
 
-# Short local fuzz campaigns over the public entry points.
+# Short local fuzz campaigns over the public entry points. FuzzRowsBody
+# caps input minimization, which is slow in the serve test binary.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDiscover -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzMergeSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFlightDecode -fuzztime 30s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
-	$(GO) test -run '^$$' -fuzz FuzzRowsBody -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzRowsBody -fuzztime 30s -fuzzminimizetime 5s ./internal/serve
 
 # Telemetry micro-benchmarks plus the end-to-end overhead gate: a Discover
 # with live tracer+metrics must stay within 2% of a nil-sink run.

@@ -1,46 +1,51 @@
 package dataset
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
+	"unicode/utf8"
 )
 
 // inferenceSample is how many rows the type inferencer inspects per column.
 const inferenceSample = 1000
 
 // ReadCSV parses a relation from CSV with a header row. Column types are
-// inferred: a column whose non-empty sampled values all parse as floats is
-// Numeric; otherwise values longer than 32 runes make it Text; otherwise it
-// is Categorical. Empty cells are NULLs.
+// inferred: a column whose first 1000 non-empty values all parse as floats
+// is Numeric; otherwise one of those values longer than 32 runes makes it
+// Text; otherwise, and for a column with no values, it is Categorical.
+// Empty cells are NULLs.
+//
+// The input is read in one pass, each cell interned straight into its
+// column, so memory is the dictionaries plus one code per cell. It accepts
+// exactly what encoding/csv's Reader with default settings accepts, and
+// rejects the rest with the error that Reader returns: a *csv.ParseError
+// wrapping csv.ErrQuote, csv.ErrBareQuote or csv.ErrFieldCount, or the
+// underlying reader's error (io.EOF for an input with no header).
 func ReadCSV(name string, r io.Reader) (*Relation, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = false
-	header, err := cr.Read()
-	if err != nil {
+	d := csvDecoder{r: bufio.NewReader(r)}
+	if err := d.record(); err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
-	var rows [][]string
+	rel := &Relation{Name: name}
+	for _, h := range d.header {
+		rel.Columns = append(rel.Columns, NewColumn(h, Categorical))
+	}
+	d.header, d.cols = nil, rel.Columns
 	for {
-		rec, err := cr.Read()
+		err := d.record()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dataset: reading CSV row: %w", err)
 		}
-		rows = append(rows, rec)
 	}
-	rel := &Relation{Name: name}
-	for j, h := range header {
-		rel.Columns = append(rel.Columns, NewColumn(h, inferType(rows, j)))
-	}
-	for i, rec := range rows {
-		if err := rel.AppendRow(rec); err != nil {
-			return nil, fmt.Errorf("dataset: row %d: %w", i, err)
-		}
+	for _, c := range rel.Columns {
+		c.Type = c.inferredType()
 	}
 	return rel, nil
 }
@@ -85,29 +90,210 @@ func SaveCSV(r *Relation, path string) error {
 	return f.Close()
 }
 
-func inferType(rows [][]string, col int) Type {
-	numeric := true
-	seen := 0
-	long := false
-	for i := 0; i < len(rows) && seen < inferenceSample; i++ {
-		if col >= len(rows[i]) {
+// csvDecoder reads records the way encoding/csv's Reader does with its
+// default settings (comma-separated, RFC 4180 quoting, no comments,
+// LazyQuotes off, FieldsPerRecord taken from the header), handing each
+// field to its column instead of building a []string.
+type csvDecoder struct {
+	r       *bufio.Reader
+	numLine int    // lines read so far
+	raw     []byte // a line longer than r's buffer
+	quoted  []byte // the unescaped bytes of the current quoted field
+
+	header []string  // the first record's fields, while it is read
+	cols   []*Column // the relation's columns, after the header
+	nf     int       // fields of the current record
+}
+
+// readLine returns the next line with its '\n', "\r\n" folded to "\n"
+// and a '\r' ending the input dropped. The line is valid until the next
+// call.
+func (d *csvDecoder) readLine() ([]byte, error) {
+	line, err := d.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		d.raw = append(d.raw[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = d.r.ReadSlice('\n')
+			d.raw = append(d.raw, line...)
+		}
+		line = d.raw
+	}
+	if len(line) > 0 && err == io.EOF {
+		err = nil
+		if line[len(line)-1] == '\r' {
+			line = line[:len(line)-1]
+		}
+	}
+	d.numLine++
+	if n := len(line); n >= 2 && line[n-2] == '\r' && line[n-1] == '\n' {
+		line[n-2] = '\n'
+		line = line[:n-1]
+	}
+	return line, err
+}
+
+// lengthNL is 1 if b ends in '\n', else 0.
+func lengthNL(b []byte) int {
+	if len(b) > 0 && b[len(b)-1] == '\n' {
+		return 1
+	}
+	return 0
+}
+
+// fieldStop marks the bytes that end an unquoted field's scan: the comma
+// and the newline end it, a quote is bare.
+var fieldStop = func() (t [256]bool) {
+	t[','], t['\n'], t['"'] = true, true, true
+	return t
+}()
+
+// field hands the record's next field to the header or its column. The
+// column interns a new value by copy, so b may alias the read buffers.
+func (d *csvDecoder) field(b []byte) {
+	switch {
+	case d.cols == nil:
+		d.header = append(d.header, string(b))
+	case d.nf >= len(d.cols): // a ragged record, rejected once it ends
+	case len(b) == 0:
+		d.cols[d.nf].AppendMissing()
+	default:
+		d.cols[d.nf].AppendBytes(b)
+	}
+	d.nf++
+}
+
+// record reads the next record into the header or the columns. It
+// returns io.EOF when the input ends before a record starts. Blank lines
+// are skipped; a quoted field may span lines. Positions in a
+// *csv.ParseError are 1-based lines and byte columns, as encoding/csv
+// reports them.
+func (d *csvDecoder) record() error {
+	var line []byte
+	var errRead error
+	for errRead == nil {
+		line, errRead = d.readLine()
+		if errRead == nil && len(line) == lengthNL(line) {
 			continue
 		}
-		v := rows[i][col]
-		if v == "" {
-			continue
+		break
+	}
+	if errRead == io.EOF {
+		return errRead
+	}
+	var err error
+	recLine := d.numLine
+	posLine, posCol := d.numLine, 1
+	d.nf = 0
+parseField:
+	for {
+		if len(line) == 0 || line[0] != '"' {
+			i := 0
+			for i < len(line) && !fieldStop[line[i]] {
+				i++
+			}
+			if i < len(line) && line[i] == '"' {
+				err = &csv.ParseError{StartLine: recLine, Line: d.numLine, Column: posCol + i, Err: csv.ErrBareQuote}
+				break parseField
+			}
+			d.field(line[:i])
+			if i < len(line) && line[i] == ',' {
+				line = line[i+1:]
+				posCol += i + 1
+				continue parseField
+			}
+			break parseField
 		}
-		seen++
-		if _, err := strconv.ParseFloat(v, 64); err != nil {
-			numeric = false
+		// A quoted field, unescaped into d.quoted until its closing quote.
+		line = line[1:]
+		posCol++
+		q := d.quoted[:0]
+		for {
+			if i := bytes.IndexByte(line, '"'); i >= 0 {
+				q = append(q, line[:i]...)
+				line = line[i+1:]
+				posCol += i + 1
+				switch {
+				case len(line) > 0 && line[0] == '"':
+					q = append(q, '"')
+					line = line[1:]
+					posCol++
+				case len(line) > 0 && line[0] == ',':
+					line = line[1:]
+					posCol++
+					d.quoted = q
+					d.field(q)
+					continue parseField
+				case lengthNL(line) == len(line):
+					d.quoted = q
+					d.field(q)
+					break parseField
+				default:
+					err = &csv.ParseError{StartLine: recLine, Line: d.numLine, Column: posCol - 1, Err: csv.ErrQuote}
+					break parseField
+				}
+			} else if len(line) > 0 {
+				q = append(q, line...)
+				if errRead != nil {
+					break parseField
+				}
+				posCol += len(line)
+				line, errRead = d.readLine()
+				if len(line) > 0 {
+					posLine++
+					posCol = 1
+				}
+				if errRead == io.EOF {
+					errRead = nil
+				}
+			} else {
+				d.quoted = q
+				if errRead == nil {
+					err = &csv.ParseError{StartLine: recLine, Line: posLine, Column: posCol, Err: csv.ErrQuote}
+					break parseField
+				}
+				d.field(q)
+				break parseField
+			}
 		}
-		if len([]rune(v)) > 32 {
-			long = true
+	}
+	if err == nil {
+		err = errRead
+	}
+	if err == nil && d.cols != nil && d.nf != len(d.cols) {
+		err = &csv.ParseError{StartLine: recLine, Line: recLine, Column: 1, Err: csv.ErrFieldCount}
+	}
+	return err
+}
+
+// inferredType is the column's Type by ReadCSV's rule over its first
+// inferenceSample non-missing cells. Codes are numbered in order of first
+// appearance, so the values those cells hold are exactly the codes up to
+// the largest among them, and each is checked once.
+func (c *Column) inferredType() Type {
+	last, seen := int32(-1), 0
+	for _, code := range c.codes {
+		if seen == inferenceSample {
+			break
+		}
+		if code != Missing {
+			seen++
+			last = max(last, code)
+		}
+	}
+	if last < 0 {
+		return Categorical
+	}
+	numeric, long := true, false
+	for _, v := range c.dict[:last+1] {
+		if numeric {
+			_, numeric = parseFloat(v)
+		}
+		long = long || utf8.RuneCountInString(v) > 32
+		if !numeric && long {
+			break
 		}
 	}
 	switch {
-	case seen == 0:
-		return Categorical
 	case numeric:
 		return Numeric
 	case long:

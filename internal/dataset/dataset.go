@@ -59,6 +59,11 @@ type Column struct {
 	// nums holds parsed values for Numeric columns (NaN where missing),
 	// indexed by code.
 	nums []float64
+	// recent is a direct-mapped cache in front of index for AppendBytes:
+	// slot recentSlot(b) holds the code+1 of the last value looked up
+	// there, 0 while empty. A hit is checked against dict, so a stale or
+	// colliding slot can only miss.
+	recent [recentSlots]int32
 }
 
 // NewColumn returns an empty column with the given name and type.
@@ -115,14 +120,33 @@ func (c *Column) MissingCount() int {
 func (c *Column) AppendValue(v string) { c.codes = append(c.codes, c.CodeOf(v)) }
 
 // AppendBytes appends the cell whose value is b, interning it in the
-// dictionary. A value already in the dictionary costs no allocation; a new
-// one is copied into a fresh string, so the column never aliases b.
+// dictionary. A value already in the dictionary costs no allocation, and
+// one recently appended usually no map lookup; a new one is copied into a
+// fresh string, so the column never aliases b.
 func (c *Column) AppendBytes(b []byte) {
+	slot := &c.recent[recentSlot(b)]
+	if code := *slot - 1; code >= 0 && c.dict[code] == string(b) {
+		c.codes = append(c.codes, code)
+		return
+	}
 	code, ok := c.index[string(b)]
 	if !ok {
 		code = c.intern(string(b))
 	}
+	*slot = code + 1
 	c.codes = append(c.codes, code)
+}
+
+// recentSlots is the size of Column.recent, a power of two.
+const recentSlots = 64
+
+// recentSlot is b's slot in Column.recent, hashed from its length and
+// its first and last bytes.
+func recentSlot(b []byte) int {
+	if len(b) == 0 {
+		return 0
+	}
+	return int(uint(len(b))*7+uint(b[0])*3+uint(b[len(b)-1])) & (recentSlots - 1)
 }
 
 // Grow reserves room for n more tuples.
@@ -159,18 +183,23 @@ func (c *Column) intern(v string) int32 {
 }
 
 // parseNum is v's numeric value, NaN when strconv.ParseFloat rejects it.
-// ParseFloat accepts nothing whose first byte is outside [0-9+-.iInN]
-// (digits, signs, a leading point, inf/infinity, nan), so such values skip
-// the call and the *NumError it would allocate.
 func parseNum(v string) float64 {
+	if f, ok := parseFloat(v); ok {
+		return f
+	}
+	return math.NaN()
+}
+
+// parseFloat is strconv.ParseFloat(v, 64), with ok reporting that it
+// accepts v. ParseFloat accepts nothing whose first byte is outside
+// [0-9+-.iInN] (digits, signs, a leading point, inf/infinity, nan), so
+// such values skip the call and the *NumError it would allocate.
+func parseFloat(v string) (float64, bool) {
 	if v == "" || !mayStartFloat[v[0]] {
-		return math.NaN()
+		return 0, false
 	}
 	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return math.NaN()
-	}
-	return f
+	return f, err == nil
 }
 
 // mayStartFloat marks the bytes a string ParseFloat accepts can begin with.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -142,6 +143,31 @@ func TestAppendBytesInternsWithoutAliasing(t *testing.T) {
 	c.Grow(200)
 	if allocs := testing.AllocsPerRun(100, func() { c.AppendBytes(buf) }); allocs > 0 {
 		t.Errorf("appending a known value allocates %.1f times", allocs)
+	}
+}
+
+// TestAppendBytesMatchesAppendValue: the recent-value cache in front of
+// the index never changes a code, including for values that share a
+// cache slot, the empty value, and values interned by CodeOf.
+func TestAppendBytesMatchesAppendValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	got, want := NewColumn("a", Categorical), NewColumn("a", Categorical)
+	for _, v := range []string{"pre", "a1b"} {
+		got.CodeOf(v)
+		want.CodeOf(v)
+	}
+	buf := make([]byte, 0, 8)
+	for i := 0; i < 5000; i++ {
+		// Same length and first and last bytes: one slot, 10 values.
+		buf = append(buf[:0], 'a', byte('0'+rng.Intn(10)), 'b')
+		if rng.Intn(7) == 0 {
+			buf = buf[:rng.Intn(2)*3]
+		}
+		got.AppendBytes(buf)
+		want.AppendValue(string(buf))
+	}
+	if !slices.Equal(got.codes, want.codes) || !slices.Equal(got.dict, want.dict) {
+		t.Fatalf("AppendBytes codes differ from AppendValue's:\n%v\n%v", got.codes[:50], want.codes[:50])
 	}
 }
 

@@ -2,20 +2,27 @@ package dataset
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 )
 
-// FuzzReadCSV checks the CSV parser never panics and that everything it
-// accepts round-trips structurally.
+// FuzzReadCSV checks ReadCSV against its encoding/csv oracle (the same
+// accepts, errors and relations), and that everything it accepts
+// round-trips structurally.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("a,b\n1,2\n3,\n")
 	f.Add("x\n\"quoted, cell\"\n")
 	f.Add("h1,h2,h3\n,,\n")
 	f.Add("")
+	for _, c := range csvCases {
+		if len(c.data) < 256 {
+			f.Add(c.data)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data string) {
-		rel, err := ReadCSV("fuzz", strings.NewReader(data))
-		if err != nil {
+		rel := checkCSVParity(t, "input", func() io.Reader { return strings.NewReader(data) })
+		if rel == nil {
 			return
 		}
 		if err := rel.Validate(); err != nil {

@@ -144,9 +144,13 @@ func TestMulDeterministicAcrossRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large multiply")
 	}
+	const n = 336 // n³ is past mulParallelFlops
+	if n*n*n < mulParallelFlops {
+		t.Fatalf("n=%d no longer reaches the fan-out", n)
+	}
 	rng := rand.New(rand.NewSource(10))
-	a := randDense(rng, 160, 160)
-	b := randDense(rng, 160, 160)
+	a := randDense(rng, n, n)
+	b := randDense(rng, n, n)
 	first := Mul(a, b)
 	for run := 0; run < 3; run++ {
 		again := Mul(a, b)

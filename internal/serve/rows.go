@@ -12,7 +12,6 @@ import (
 	"unicode/utf8"
 
 	"fdx"
-	"fdx/internal/dataset"
 )
 
 // maxBodyBytes bounds every request body fdxd reads: session creation,
@@ -90,27 +89,23 @@ func putBody(buf *bytes.Buffer) {
 //
 //	struct { Seq int `json:"seq"`; Rows [][]string `json:"rows"` }
 //
-// and yields the same seq and rows; the accepted batch must then have seq
-// >= 1, at least one row and len(names) cells in every row. That covers
-// keys matched case-insensitively after unescaping, the last duplicate key
-// winning, null leaving a field as it was, and bytes after the object being
-// ignored (rows_test.go holds the encoding/json oracle). A null or empty
-// cell is Missing, as in Relation.AppendRow, and the relation is the one
-// AppendRow builds from the decoded rows: the same codes in
-// first-appearance order, dictionary and numeric values. The relation
-// never aliases body.
+// with the "rows" key given once, and yields the same seq and rows; the
+// accepted batch must then have seq >= 1, at least one row and len(names)
+// cells in every row. That covers keys matched case-insensitively after
+// unescaping, a repeated "seq" key's last value winning, null leaving seq
+// as it was, and bytes after the object being ignored (rows_test.go holds
+// the encoding/json oracle). A repeated "rows" key and a row of the wrong
+// width are rejected where they are met. A null or empty cell is Missing,
+// as in Relation.AppendRow, and the relation is the one AppendRow builds
+// from the decoded rows: the same codes in first-appearance order,
+// dictionary and numeric values. The relation never aliases body.
 func decodeRows(body []byte, names []string) (int, *fdx.Relation, *httpError) {
 	d := rowsDecoder{buf: body, rel: fdx.NewRelation("wire", names...)}
 	hint := rowsHint(body, len(names))
 	for _, c := range d.rel.Columns {
 		c.Grow(hint)
 	}
-	err := d.body()
-	if err == errReshape {
-		d = rowsDecoder{buf: body, rel: d.rel, reshaped: true}
-		err = d.body()
-	}
-	if err != nil {
+	if err := d.body(); err != nil {
 		return 0, nil, serveError(http.StatusBadRequest, CodeBadInput, "parsing request body: "+err.Error())
 	}
 	if d.seq < 1 {
@@ -119,16 +114,7 @@ func decodeRows(body []byte, names []string) (int, *fdx.Relation, *httpError) {
 	if d.nrows == 0 {
 		return 0, nil, serveError(http.StatusBadRequest, CodeBadInput, "rows must be non-empty")
 	}
-	if !d.reshaped {
-		return d.seq, d.rel, nil
-	}
-	for i, n := range d.lens[:d.nrows] {
-		if int(n) != len(names) {
-			return 0, nil, serveError(http.StatusBadRequest, CodeBadInput, fmt.Sprintf(
-				"row %d has %d values, schema has %d attributes", i, n, len(names)))
-		}
-	}
-	return d.seq, d.fromSlots(), nil
+	return d.seq, d.rel, nil
 }
 
 // rowsHint sizes the columns for the batch: a row opens one '[' and takes
@@ -141,28 +127,15 @@ func rowsHint(body []byte, ncols int) int {
 	return min(bytes.Count(body, []byte{'['}), len(body)/(3*ncols+2)+1)
 }
 
-// errReshape stops the first pass at a body the column layout cannot
-// mirror: a repeated "rows" key or a row of the wrong width.
-var errReshape = errors.New("rows need row slots")
-
-// rowsDecoder is the state of one decodeRows pass. The first pass appends
-// each row's cells to the relation's columns. A body it cannot lay out that
-// way (errReshape: almost always a batch about to be rejected for a row's
-// width) is parsed again with row slots, each mirroring one element of the
-// [][]string encoding/json decodes into: a repeated "rows" key decodes over
-// the rows before it, a null cell keeping the value beneath, and null or []
-// dropping what was there. Both passes do work linear in the body.
+// rowsDecoder is the state of one decodeRows pass, which appends each
+// row's cells to the relation's columns.
 type rowsDecoder struct {
 	buf     []byte
 	pos     int
-	rel     *fdx.Relation // the batch (first pass); the dictionaries (both)
+	rel     *fdx.Relation
 	seq     int
 	sawRows bool // a "rows" key came before
-	nrows   int  // rows in the last "rows" array
-
-	reshaped bool
-	slots    [][]int32 // per row slot, the codes of its first len(names) cells
-	lens     []int32   // per row slot, its cell count
+	nrows   int  // rows appended
 
 	scratch []byte // unescaped string bytes
 }
@@ -275,16 +248,14 @@ func (d *rowsDecoder) seqValue() error {
 	return nil // a fraction or exponent fails the caller's ',' or '}'
 }
 
-// rowsValue parses rows: an array of rows, or null. Null and [] both
-// drop every row, as encoding/json replaces the slice.
+// rowsValue parses rows: an array of rows, or null.
 func (d *rowsDecoder) rowsValue() error {
-	if d.sawRows && !d.reshaped {
-		return errReshape
+	if d.sawRows {
+		return errors.New(`the "rows" key is given twice`)
 	}
 	d.sawRows = true
 	switch d.next() {
 	case 'n':
-		d.dropRows()
 		return d.null()
 	case '[':
 		d.pos++
@@ -293,25 +264,18 @@ func (d *rowsDecoder) rowsValue() error {
 	}
 	if d.next() == ']' {
 		d.pos++
-		d.dropRows()
 		return nil
 	}
-	for i := 0; ; i++ {
-		var err error
-		if d.reshaped {
-			err = d.slotRow(i)
-		} else {
-			err = d.appendRow()
-		}
-		if err != nil {
+	for {
+		if err := d.appendRow(); err != nil {
 			return err
 		}
+		d.nrows++
 		switch d.next() {
 		case ',':
 			d.pos++
 		case ']':
 			d.pos++
-			d.nrows = i + 1
 			return nil
 		default:
 			return d.fail("',' or ']' after a row")
@@ -319,26 +283,22 @@ func (d *rowsDecoder) rowsValue() error {
 	}
 }
 
-func (d *rowsDecoder) dropRows() {
-	d.slots, d.lens, d.nrows = d.slots[:0], d.lens[:0], 0
-}
-
-// appendRow parses the next row in the first pass, appending its cells to
-// the columns. Anything but exactly one cell per column is errReshape.
+// appendRow parses the next row, appending its cells to the columns. A
+// row must hold exactly one cell per column.
 func (d *rowsDecoder) appendRow() error {
+	cols := d.rel.Columns
 	switch d.next() {
 	case '[':
 		d.pos++
 	case 'n':
-		return errReshape
+		return d.widthError()
 	default:
 		return d.fail("a row array or null")
 	}
-	cols := d.rel.Columns
 	for j := 0; ; j++ {
 		c := d.next()
 		if j == len(cols) || c == ']' {
-			return errReshape
+			return d.widthError()
 		}
 		switch c {
 		case '"':
@@ -364,7 +324,7 @@ func (d *rowsDecoder) appendRow() error {
 			d.pos++
 		case ']':
 			if j+1 != len(cols) {
-				return errReshape
+				return d.widthError()
 			}
 			d.pos++
 			return nil
@@ -374,93 +334,9 @@ func (d *rowsDecoder) appendRow() error {
 	}
 }
 
-// slotRow parses row i into its slot in the second pass.
-func (d *rowsDecoder) slotRow(i int) error {
-	if i == len(d.slots) {
-		d.slots, d.lens = append(d.slots, nil), append(d.lens, 0)
-	}
-	slot, n := d.slots[i], 0
-	switch d.next() {
-	case 'n':
-		if err := d.null(); err != nil {
-			return err
-		}
-	case '[':
-		d.pos++
-		var err error
-		if n, slot, err = d.slotCells(slot); err != nil {
-			return err
-		}
-	default:
-		return d.fail("a row array or null")
-	}
-	if n == 0 {
-		slot = slot[:0] // null and [] decode to a fresh slice
-	}
-	d.slots[i], d.lens[i] = slot, int32(n)
-	return nil
-}
-
-// slotCells parses a row's cells after its '[' over slot, which holds the
-// codes an earlier row left in the same slot, and returns the cell count
-// and the updated slot.
-func (d *rowsDecoder) slotCells(slot []int32) (int, []int32, error) {
-	if d.next() == ']' {
-		d.pos++
-		return 0, slot, nil
-	}
-	cols := d.rel.Columns
-	for j := 0; ; j++ {
-		switch d.next() {
-		case '"':
-			b, err := d.str()
-			if err != nil {
-				return 0, nil, err
-			}
-			if j < len(cols) {
-				for len(slot) <= j {
-					slot = append(slot, dataset.Missing)
-				}
-				slot[j] = dataset.Missing
-				if len(b) > 0 {
-					slot[j] = cols[j].CodeOf(string(b))
-				}
-			}
-		case 'n':
-			if err := d.null(); err != nil {
-				return 0, nil, err
-			}
-		default:
-			return 0, nil, d.fail("a string or null cell")
-		}
-		switch d.next() {
-		case ',':
-			d.pos++
-		case ']':
-			d.pos++
-			return j + 1, slot, nil
-		default:
-			return 0, nil, d.fail("',' or ']' after a cell")
-		}
-	}
-}
-
-// fromSlots builds the batch from the final rows' slots, interning in
-// row order so codes follow first appearance in those rows alone.
-func (d *rowsDecoder) fromSlots() *fdx.Relation {
-	out := fdx.NewRelation("wire", d.rel.AttrNames()...)
-	for j, c := range d.rel.Columns {
-		oc := out.Columns[j]
-		oc.Grow(d.nrows)
-		for _, slot := range d.slots[:d.nrows] {
-			if j < len(slot) && slot[j] != dataset.Missing {
-				oc.AppendValue(c.DictValue(slot[j]))
-			} else {
-				oc.AppendMissing()
-			}
-		}
-	}
-	return out
+// widthError rejects the row being parsed for its cell count.
+func (d *rowsDecoder) widthError() error {
+	return fmt.Errorf("row %d does not have %d values, one per attribute", d.nrows, len(d.rel.Columns))
 }
 
 // plainByte marks the string bytes that decode as themselves: printable

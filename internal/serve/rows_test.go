@@ -43,13 +43,14 @@ func batchRelation(names []string, rows [][]string) (*fdx.Relation, error) {
 }
 
 // oracleRows is decodeRows's reference: encoding/json's Decoder with
-// DisallowUnknownFields into rowsRequest, the batch checks (seq >= 1, a
-// row at least, every row as wide as the schema), and batchRelation.
+// DisallowUnknownFields into rowsRequest, the "rows" key given at most
+// once, the batch checks (seq >= 1, a row at least, every row as wide as
+// the schema), and batchRelation.
 func oracleRows(body []byte, names []string) (int, *fdx.Relation, bool) {
 	var req rowsRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || req.Seq < 1 || len(req.Rows) == 0 {
+	if err := dec.Decode(&req); err != nil || rowsKeys(body) > 1 || req.Seq < 1 || len(req.Rows) == 0 {
 		return 0, nil, false
 	}
 	rel, err := batchRelation(names, req.Rows)
@@ -57,6 +58,31 @@ func oracleRows(body []byte, names []string) (int, *fdx.Relation, bool) {
 		return 0, nil, false
 	}
 	return req.Seq, rel, true
+}
+
+// rowsKeys counts the keys of the object body starts with that name the
+// rows field, matched as encoding/json matches them. It stops at the first
+// syntax error, which Decode reports anyway.
+func rowsKeys(body []byte) int {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return 0
+	}
+	n := 0
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return n
+		}
+		if key, ok := tok.(string); ok && strings.EqualFold(key, "rows") {
+			n++
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return n
+		}
+	}
+	return n
 }
 
 // relationDiff describes the first difference between got and want in
@@ -133,20 +159,21 @@ var parityBodies = []struct {
 	{"{\"seq\xff\":1,\"rows\":[[\"a\",\"b\",\"c\"]]}", false},
 	{`{"seq":1,"rows":[["a","b","c"]],"extra":1}`, false},
 	{`{"sequence":1,"rows":[["a","b","c"]]}`, false},
-	// Duplicate keys: the last wins; null leaves the field as it was.
+	// Duplicate keys: seq's last value wins, and null leaves it as it was;
+	// a repeated rows key, however spelled or valued, is rejected.
 	{`{"seq":1,"seq":2,"rows":[["a","b","c"]]}`, true},
 	{`{"seq":3,"seq":null,"rows":[["a","b","c"]]}`, true},
 	{`{"seq":null,"rows":[["a","b","c"]]}`, false},
-	{`{"seq":1,"rows":[["a","b","c"]],"rows":[["x","y","z"],["a","b","c"]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"],["d","e","f"]],"rows":[["x",null,"z"]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"],["d","e","f"]],"rows":[["x","y","z"]],"rows":[[null,null,null],[null,"q",null]]}`, true},
-	{`{"seq":1,"rows":[["a"]],"rows":[["x","y","z"]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c","d"]],"rows":[["x",null,"z"]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"]],"rows":[["x"]],"rows":[["y",null,null]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"]],"rows":null,"rows":[[null,null,"z"]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"]],"rows":[],"rows":[[null,"b",null]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"]],"rows":[null],"rows":[[null,null,"z"]]}`, true},
-	{`{"seq":1,"rows":[["a","b","c"]],"rows":[[]],"rows":[[null,null,"z"]]}`, true},
+	{`{"seq":1,"rows":[["a","b","c"]],"rows":[["x","y","z"],["a","b","c"]]}`, false},
+	{`{"seq":1,"rows":[["a","b","c"],["d","e","f"]],"rows":[["x",null,"z"]]}`, false},
+	{`{"seq":1,"rows":[["a","b","c"],["d","e","f"]],"rows":[["x","y","z"]],"rows":[[null,null,null],[null,"q",null]]}`, false},
+	{`{"seq":1,"rows":[["a"]],"rows":[["x","y","z"]]}`, false},
+	{`{"seq":1,"rows":[["a","b","c"]],"ROWS":[["a","b","c"]]}`, false},
+	{`{"seq":1,"rows":[["a","b","c"]],"ro\u0077s":null}`, false},
+	{`{"seq":1,"rows":null,"rows":[[null,null,"z"]]}`, false},
+	{`{"seq":1,"rows":[],"rows":[[null,"b",null]]}`, false},
+	{`{"seq":1,"rows":[["a","b","c"]],"rows":[null],"rows":[[null,null,"z"]]}`, false},
+	{`{"seq":1,"rows":[["a","b","c"]],"rows":[[]],"rows":[[null,null,"z"]]}`, false},
 	{`{"seq":1,"rows":[["a","b","c"]],"rows":[["x","y"]]}`, false},
 	{`{"seq":1,"rows":[["a","b","c"]],"rows":null}`, false},
 	// null for rows, a row and a cell; a null cell is Missing, like "".
