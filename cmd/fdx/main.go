@@ -108,7 +108,7 @@ func runDiscover(args []string) int {
 	fs := flag.NewFlagSet("fdx", flag.ExitOnError)
 	var (
 		lambda    = fs.Float64("lambda", 0, "graphical lasso sparsity penalty")
-		threshold = fs.Float64("threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.2)")
+		threshold = fs.Float64("threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.05; negative = no absolute floor)")
 		ordering  = fs.String("ordering", "", "column ordering: heuristic|natural|amd|colamd|metis|nesdis|reverse|random")
 		maxRows   = fs.Int("max-rows", 0, "cap on tuples used by the pair transform (0 = all)")
 		seed      = fs.Int64("seed", 0, "random seed for the transform shuffle")
@@ -207,7 +207,7 @@ func runStream(args []string) int {
 		every      = fs.Int("every", 16, "durably snapshot every N batches")
 		batchRows  = fs.Int("batch", 512, "rows per accumulator batch")
 		lambda     = fs.Float64("lambda", 0, "graphical lasso sparsity penalty")
-		threshold  = fs.Float64("threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.2)")
+		threshold  = fs.Float64("threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.05; negative = no absolute floor)")
 		ordering   = fs.String("ordering", "", "column ordering: heuristic|natural|amd|colamd|metis|nesdis|reverse|random")
 		seed       = fs.Int64("seed", 0, "random seed for the transform shuffle (must match across resumes)")
 		heatmap    = fs.Bool("heatmap", false, "print the autoregression matrix heatmap")

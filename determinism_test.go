@@ -9,6 +9,7 @@ import (
 	"fdx"
 	"fdx/internal/core"
 	"fdx/internal/linalg"
+	"fdx/internal/stats"
 )
 
 // discoverTwice runs Discover twice with identical options and returns both
@@ -199,12 +200,12 @@ func resultOf(m *core.Model, names []string) *fdx.Result {
 	return res
 }
 
-// floatReference runs discovery through the float compatibility entries:
-// the unpacked sample block (core.TransformContext) and the float
-// stratified covariance (core.DiscoverFromSamplesContext). The pipeline
-// computes the same covariance from popcount counts over the bit store;
-// the two must agree bit for bit. Only Seed, Lambda and Workers carry
-// over from opts.
+// floatReference runs discovery from the float sample path: the unpacked
+// sample block (core.TransformContext), its stratified covariance
+// (stats.StratifiedCovariance, one stratum per attribute), then the model
+// stage (core.DiscoverFromCovarianceContext). The pipeline computes the
+// same covariance from popcount counts over the bit store; the two must
+// agree bit for bit. Only Seed, Lambda and Workers carry over from opts.
 func floatReference(t *testing.T, rel *fdx.Relation, opts fdx.Options) *fdx.Result {
 	t.Helper()
 	copts := core.Options{Lambda: opts.Lambda, Seed: opts.Seed, Workers: opts.Workers,
@@ -213,7 +214,8 @@ func floatReference(t *testing.T, rel *fdx.Relation, opts fdx.Options) *fdx.Resu
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.DiscoverFromSamplesContext(context.Background(), dt, rel.AttrNames(), copts)
+	s := stats.StratifiedCovariance(dt, rel.NumCols())
+	m, err := core.DiscoverFromCovarianceContext(context.Background(), s, rel.AttrNames(), copts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,10 @@ type Options struct {
 	// Lambda is the Graphical Lasso sparsity penalty (paper Table 8).
 	Lambda float64
 	// Threshold is the absolute floor on |B| coefficients for an FD edge
-	// (default 0.05). An edge must also pass the per-column relative rule
-	// |b| ≥ RelFraction·(column max), which adapts to the data set's
-	// coefficient scale.
+	// (0 = default 0.05). An edge must also pass the per-column relative
+	// rule |b| ≥ RelFraction·(column max), which adapts to the data set's
+	// coefficient scale. Only non-zero coefficients ever form an edge
+	// (paper Alg. 3), so a negative Threshold means no absolute floor.
 	Threshold float64
 	// RelFraction is the relative per-column threshold fraction
 	// (default 0.4); set negative to disable the relative rule.
@@ -213,7 +214,7 @@ func Discover(rel *Relation, opts Options) (*Result, error) {
 
 // DiscoverContext is Discover with cancellation: the context is checked in
 // the transform worker loop, each Graphical Lasso sweep, every rung of the
-// fallback ladder, and the ordering search. On expiry the returned error
+// fallback ladder, and each block's ordering. On expiry the returned error
 // wraps both ctx.Err() and ErrCancelled.
 func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (res *Result, err error) {
 	defer guard("fdx: Discover", &err)

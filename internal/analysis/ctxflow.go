@@ -29,7 +29,7 @@ import (
 // Leaf kernels that do not take a context are exempt by design: the
 // contract is that their *callers* check at the call-granularity the
 // public documentation promises (transform worker loops, glasso sweeps,
-// ladder rungs, ordering search).
+// ladder rungs, per-block ordering).
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",
 	Doc:       "enforces context propagation and per-loop cancellation checks on the pipeline's call graph",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -26,7 +27,9 @@ func benchTransform(b *testing.B, rows, cols int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Transform(rel, TransformOptions{Seed: 1})
+		if _, err := TransformBitsContext(context.Background(), rel, TransformOptions{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

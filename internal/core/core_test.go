@@ -1,12 +1,16 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"fdx/internal/dataset"
+	"fdx/internal/fdxerr"
 	"fdx/internal/linalg"
 )
 
@@ -65,7 +69,7 @@ func TestTransformShapeAndBinary(t *testing.T) {
 			names[j] = "a" + strconv.Itoa(j)
 		}
 		rel := relFromCodes(rows, names...)
-		dt := Transform(rel, TransformOptions{Seed: seed})
+		dt := floatTransform(rel, TransformOptions{Seed: seed})
 		r, c := dt.Dims()
 		if r != n*k || c != k {
 			return false
@@ -88,7 +92,7 @@ func TestTransformShapeAndBinary(t *testing.T) {
 func TestTransformConstantColumnAllOnes(t *testing.T) {
 	rows := [][]int{{1, 0}, {1, 1}, {1, 2}}
 	rel := relFromCodes(rows, "c", "x")
-	dt := Transform(rel, TransformOptions{})
+	dt := floatTransform(rel, TransformOptions{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 1 {
 			t.Fatal("constant column must always match")
@@ -99,7 +103,7 @@ func TestTransformConstantColumnAllOnes(t *testing.T) {
 func TestTransformAllDistinctColumnAllZeros(t *testing.T) {
 	rows := [][]int{{0}, {1}, {2}, {3}}
 	rel := relFromCodes(rows, "key")
-	dt := Transform(rel, TransformOptions{})
+	dt := floatTransform(rel, TransformOptions{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 0 {
 			t.Fatal("all-distinct column must never match")
@@ -111,7 +115,7 @@ func TestTransformMissingNeverMatches(t *testing.T) {
 	rel := dataset.New("t", "a")
 	rel.AppendRow([]string{""})
 	rel.AppendRow([]string{""})
-	dt := Transform(rel, TransformOptions{})
+	dt := floatTransform(rel, TransformOptions{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 0 {
 			t.Fatal("missing cells must not match")
@@ -125,7 +129,7 @@ func TestTransformMaxRows(t *testing.T) {
 		rows[i] = []int{i % 7}
 	}
 	rel := relFromCodes(rows, "a")
-	dt := Transform(rel, TransformOptions{MaxRows: 10})
+	dt := floatTransform(rel, TransformOptions{MaxRows: 10})
 	if dt.Rows() != 10 {
 		t.Errorf("MaxRows ignored: %d rows", dt.Rows())
 	}
@@ -138,7 +142,7 @@ func TestTransformNumericTolerance(t *testing.T) {
 		rel.Columns[0].AppendValue(v)
 	}
 	// Scale = 8; tolerance 0.01 → |1.00−1.001| = .001 ≤ .08 matches.
-	dt := Transform(rel, TransformOptions{NumericTol: 0.01})
+	dt := floatTransform(rel, TransformOptions{NumericTol: 0.01})
 	ones := 0
 	for i := 0; i < dt.Rows(); i++ {
 		ones += int(dt.At(i, 0))
@@ -147,7 +151,7 @@ func TestTransformNumericTolerance(t *testing.T) {
 		t.Error("approximate numeric equality found no matches")
 	}
 	// Effectively exact tolerance → no matches.
-	dt = Transform(rel, TransformOptions{})
+	dt = floatTransform(rel, TransformOptions{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 0 {
 			t.Error("exact numeric mode matched unequal values")
@@ -169,22 +173,45 @@ func TestJaccard3Gram(t *testing.T) {
 	if jaccard3gram("Chicago", "chicago") != 1 {
 		t.Error("similarity should be case-insensitive")
 	}
+	// The transform's per-code similarity must equal the string-level one
+	// on every pair of a column's values.
+	col := dataset.NewColumn("s", dataset.Text)
+	for _, v := range []string{"3435 W Washington Ave", "3435 W Washington Av", "3435 w WASHINGTON ave", "ab", "AB", "abc", "aaaa", "aaa"} {
+		col.AppendValue(v)
+	}
+	tg := buildTextGrams(col)
+	for a := int32(0); a < int32(col.Cardinality()); a++ {
+		for b := int32(0); b < int32(col.Cardinality()); b++ {
+			va, vb := col.DictValue(a), col.DictValue(b)
+			if got, want := tg.jaccard(a, b), jaccard3gram(va, vb); got != want {
+				t.Errorf("textGrams.jaccard(%q, %q) = %v, want %v", va, vb, got, want)
+			}
+		}
+	}
 }
 
 func TestTransformTextSimilarity(t *testing.T) {
-	rel := dataset.New("t", "s")
-	rel.Columns[0] = dataset.NewColumn("s", dataset.Text)
-	rel.Columns[0].AppendValue("3435 W Washington Ave")
-	rel.Columns[0].AppendValue("3435 W Washington Av")
-	dt := Transform(rel, TransformOptions{TextSimilarity: true, TextThreshold: 0.7})
-	found := false
-	for i := 0; i < dt.Rows(); i++ {
-		if dt.At(i, 0) == 1 {
-			found = true
+	// The operator matches at 3-gram Jaccard ≥ 0.9: a dropped last letter
+	// (similarity 0.947) matches, an expanded suffix (0.864) does not.
+	matches := func(a, b string) int {
+		rel := dataset.New("t", "s")
+		rel.Columns[0] = dataset.NewColumn("s", dataset.Text)
+		rel.Columns[0].AppendValue(a)
+		rel.Columns[0].AppendValue(b)
+		dt := floatTransform(rel, TransformOptions{TextSimilarity: true})
+		n := 0
+		for i := 0; i < dt.Rows(); i++ {
+			if dt.At(i, 0) == 1 {
+				n++
+			}
 		}
+		return n
 	}
-	if !found {
+	if n := matches("3435 W Washington Ave", "3435 W Washington Av"); n == 0 {
 		t.Error("text similarity operator found no matches")
+	}
+	if n := matches("3435 W Washington Ave", "3435 W Washington Avenue"); n != 0 {
+		t.Errorf("similarity below the threshold matched %d pairs", n)
 	}
 }
 
@@ -245,10 +272,10 @@ func TestDiscoverRecoversCleanFDs(t *testing.T) {
 	// on the learned order, so check undirected recovery of the pairs.
 	und := func(a, b int) bool { return edges[[2]int{a, b}] || edges[[2]int{b, a}] }
 	if !und(0, 1) {
-		t.Errorf("A0—A1 dependency not recovered; FDs:\n%s", m.FormatFDs())
+		t.Errorf("A0—A1 dependency not recovered; FDs:\n%s", formatFDs(m))
 	}
 	if !und(3, 2) {
-		t.Errorf("A3—A2 dependency not recovered; FDs:\n%s", m.FormatFDs())
+		t.Errorf("A3—A2 dependency not recovered; FDs:\n%s", formatFDs(m))
 	}
 	// A3's second determinant (A0) carries a coefficient of ≈1/|X| under
 	// the soft-logic relaxation and may fall below the conservative default
@@ -256,7 +283,7 @@ func TestDiscoverRecoversCleanFDs(t *testing.T) {
 	// same reason — so it is intentionally not required here.
 	// The independent attribute pair (1,2)/(0,2) must not be linked.
 	if und(0, 2) || und(1, 2) {
-		t.Errorf("spurious edge on independent attributes; FDs:\n%s", m.FormatFDs())
+		t.Errorf("spurious edge on independent attributes; FDs:\n%s", formatFDs(m))
 	}
 }
 
@@ -270,7 +297,7 @@ func TestDiscoverRobustToNoise(t *testing.T) {
 	edges := edgeSet(m.FDs)
 	und := func(a, b int) bool { return edges[[2]int{a, b}] || edges[[2]int{b, a}] }
 	if !und(0, 1) {
-		t.Errorf("A0—A1 lost under 5%% noise; FDs:\n%s", m.FormatFDs())
+		t.Errorf("A0—A1 lost under 5%% noise; FDs:\n%s", formatFDs(m))
 	}
 }
 
@@ -294,8 +321,13 @@ func TestDiscoverSingleColumn(t *testing.T) {
 }
 
 func TestDiscoverFromSamplesDimMismatch(t *testing.T) {
-	if _, err := DiscoverFromSamples(linalg.NewDense(4, 3), []string{"a", "b"}, Options{}); err == nil {
-		t.Error("dimension mismatch accepted")
+	ctx := context.Background()
+	pb := newPairBits(4, 3, nil)
+	if _, err := DiscoverFromBitsContext(ctx, pb, []string{"a", "b"}, Options{}); !errors.Is(err, fdxerr.ErrBadInput) {
+		t.Errorf("sample store dimension mismatch: err = %v, want ErrBadInput", err)
+	}
+	if _, err := DiscoverFromCovarianceContext(ctx, linalg.NewDense(3, 3), []string{"a", "b"}, Options{}); !errors.Is(err, fdxerr.ErrBadInput) {
+		t.Errorf("covariance dimension mismatch: err = %v, want ErrBadInput", err)
 	}
 }
 
@@ -326,6 +358,82 @@ func TestGenerateFDsThreshold(t *testing.T) {
 	if len(fds) != 0 {
 		t.Errorf("sub-threshold coefficient produced FD: %v", fds)
 	}
+	// Alg. 3 takes only non-zero coefficients: under a non-positive floor
+	// an exact zero still never enters, even with the relative rule off
+	// or in an all-zero column.
+	bP = linalg.NewDense(3, 3)
+	bP.Set(1, 2, -0.01)
+	for _, floor := range []float64{0, -1} {
+		for _, frac := range []float64{0.4, -1} {
+			fds := GenerateFDs(bP, linalg.IdentityPerm(3), floor, frac)
+			if len(fds) != 1 || fds[0].RHS != 2 || len(fds[0].LHS) != 1 || fds[0].LHS[0] != 1 {
+				t.Errorf("floor %v, frac %v: fds = %v, want only 1 -> 2", floor, frac, fds)
+			}
+		}
+	}
+}
+
+// TestBlockedGenerationEqualsDense checks that generating FDs block by block
+// equals Alg. 3 on the dense block-diagonal assembly of B, on a covariance
+// that screening at λ>0 splits into several blocks — under the default
+// floor and with no floor or relative rule at all — and that no FD cites
+// a zero coefficient.
+func TestBlockedGenerationEqualsDense(t *testing.T) {
+	const blocks, size = 3, 4
+	k := blocks * size
+	rng := rand.New(rand.NewSource(21))
+	s := linalg.NewDense(k, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j <= i; j++ {
+			v := 0.01 * (rng.Float64() - 0.5) // cross-block: below λ
+			if i/size == j/size {
+				v = 0.3 + 0.5*rng.Float64()
+			}
+			if i == j {
+				v = 1
+			}
+			s.Set(i, j, v)
+			s.Set(j, i, v)
+		}
+	}
+	names := make([]string, k)
+	for i := range names {
+		names[i] = "a" + strconv.Itoa(i)
+	}
+	for _, o := range []Options{{Lambda: 0.05}, {Lambda: 0.05, Threshold: -1, RelFraction: -1}} {
+		m, err := DiscoverFromCovarianceContext(context.Background(), s, names, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Diagnostics.GlassoBlocks < 2 {
+			t.Fatalf("screening kept %d block(s); the test needs several", m.Diagnostics.GlassoBlocks)
+		}
+		o.defaults()
+		bP := linalg.NewDense(k, k)
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				bP.Set(i, j, m.B.At(m.Order[i], m.Order[j]))
+			}
+		}
+		want := GenerateFDs(bP, m.Order, o.Threshold, o.RelFraction)
+		if len(m.FDs) == 0 || len(m.FDs) != len(want) {
+			t.Fatalf("threshold %v: %d blocked FDs, dense assembly gives %d", o.Threshold, len(m.FDs), len(want))
+		}
+		for i, fd := range m.FDs {
+			w := want[i]
+			if fd.RHS != w.RHS || fd.Score != w.Score || len(fd.LHS) != len(w.LHS) {
+				t.Fatalf("threshold %v: FD %d = %v (score %v), dense gives %v (score %v)", o.Threshold, i, fd, fd.Score, w, w.Score)
+			}
+			for p, x := range fd.LHS {
+				if x != w.LHS[p] {
+					t.Fatalf("threshold %v: FD %d = %v, dense gives %v", o.Threshold, i, fd, w)
+				}
+				if m.B.At(x, fd.RHS) == 0 {
+					t.Errorf("threshold %v: FD %v cites the zero coefficient B[%d][%d]", o.Threshold, fd, x, fd.RHS)
+				}
+			}
+		}
+	}
 }
 
 func TestModelFormatAndHeatmap(t *testing.T) {
@@ -335,11 +443,11 @@ func TestModelFormatAndHeatmap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Heatmap() == "" {
-		t.Error("empty heatmap")
+	if len(m.FDs) == 0 {
+		t.Fatal("no FDs discovered")
 	}
-	if len(m.FDs) > 0 && m.FormatFDs() == "" {
-		t.Error("empty FD formatting")
+	if lines := strings.Count(formatFDs(m), "\n"); lines != len(m.FDs) {
+		t.Errorf("FD formatting has %d lines, want %d", lines, len(m.FDs))
 	}
 	if !m.Order.IsValid() {
 		t.Error("invalid order permutation")

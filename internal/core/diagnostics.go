@@ -57,8 +57,9 @@ func (d *Diagnostics) Degraded() bool {
 // in place — NaN off-diagonals become 0 (no evidence of dependence),
 // non-finite diagonals become 1 (a unit-variance placeholder) — and returns
 // the implicated column indices in ascending order (nil when every entry
-// is finite and s is untouched). The caller owns s; DiscoverFromCovariance
-// hands it a private clone of the user's matrix.
+// is finite and s is untouched). The caller owns s;
+// DiscoverFromCovarianceContext hands it a private clone of the user's
+// matrix.
 func sanitizeCovariance(s *linalg.Dense) []int {
 	k, _ := s.Dims()
 	implicated := make([]bool, k)

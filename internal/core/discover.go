@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"strings"
 
 	"fdx/internal/dataset"
 	"fdx/internal/faults"
@@ -24,15 +22,18 @@ type Options struct {
 	// {0, .002, …, .01}).
 	Lambda float64
 	// Threshold is the absolute floor on |B| coefficients for an edge to
-	// enter an FD (default 0.05). It combines with RelFraction into the
-	// per-column rule: keep coefficient b_ij iff
+	// enter an FD (0 = default 0.05). It combines with RelFraction into
+	// the per-column rule: keep coefficient b_ij iff
 	//
-	//	|b_ij| ≥ max(Threshold, RelFraction·max_i |b_ij|).
+	//	b_ij ≠ 0 and |b_ij| ≥ max(Threshold, RelFraction·max_i |b_ij|).
 	//
 	// The relative part adapts to each data set's coefficient scale —
 	// under the soft-logic relaxation (paper Eq. 3) a determinant set of
 	// size m carries coefficients ≈ 1/m, but the overall scale shrinks
-	// with noise and with large value domains.
+	// with noise and with large value domains. A negative Threshold sets
+	// no floor: every non-zero coefficient that passes the relative rule
+	// enters (paper Alg. 3 takes the non-zero entries), and with the
+	// relative rule disabled too, all of them do.
 	Threshold float64
 	// RelFraction is the relative per-column threshold fraction
 	// (default 0.4); set negative to disable the relative rule and use
@@ -41,27 +42,12 @@ type Options struct {
 	// Ordering names the column-ordering heuristic (see internal/ordering);
 	// default "heuristic" (minimum degree), the paper's default.
 	Ordering string
-	// GraphTol is the |Θ| cutoff when building the sparsity graph fed to
-	// the ordering heuristic.
-	GraphTol float64
-	// UseCorrelation normalizes the pair-sample covariance to a correlation
-	// matrix before structure learning, making Lambda and Threshold
-	// scale-free across attributes. Enabled by default.
-	UseCorrelation bool
-	// RawCovariance disables UseCorrelation when true (kept separate so the
-	// zero Options value means "paper defaults").
-	RawCovariance bool
 	// PooledCovariance disables the stratified (per-sort-block) covariance
 	// estimator and pools all pair samples into one covariance, as a naive
 	// reading of Alg. 2 would. Pooling lets the blocks' different marginal
 	// means leak into the estimate as spurious negative correlations; the
 	// flag exists for the ablation benchmark.
 	PooledCovariance bool
-	// OrderCandidates, when positive, enables sparsest-permutation order
-	// search (Raskutti & Uhler, whom the paper builds on): in addition to
-	// the configured ordering heuristic, that many random global orders
-	// are factorized and the order producing the fewest FD edges wins.
-	OrderCandidates int
 	// RequireConvergence makes a Graphical Lasso estimate that still has
 	// not converged after the full regularization fallback ladder a hard
 	// ErrNotConverged failure. By default such an estimate is accepted as
@@ -86,6 +72,10 @@ type Options struct {
 	Obs obs.Hooks
 }
 
+// graphTol is the |Θ| cutoff when building the sparsity graph fed to the
+// ordering heuristic.
+const graphTol = 1e-4
+
 // defaults fills unset fields. (fdx:numeric-kernel: the exact zero value is
 // the "unset" sentinel on option fields, never a computed float.)
 func (o *Options) defaults() {
@@ -101,9 +91,6 @@ func (o *Options) defaults() {
 	// any non-positive fraction as disabled.
 	if o.Ordering == "" {
 		o.Ordering = ordering.Heuristic
-	}
-	if o.GraphTol == 0 {
-		o.GraphTol = 1e-4
 	}
 	o.Transform.Seed = o.Seed
 	// The transform inherits the pipeline's telemetry sinks; it never has
@@ -164,7 +151,7 @@ func Discover(rel *dataset.Relation, opts Options) (*Model, error) {
 
 // DiscoverContext is Discover with cancellation: the context is checked in
 // the transform worker loop, each Graphical Lasso outer sweep, every rung
-// of the fallback ladder, and the ordering search, and a wrapped ctx.Err()
+// of the fallback ladder, and each block's ordering, and a wrapped ctx.Err()
 // is returned promptly on expiry.
 func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (*Model, error) {
 	opts.defaults()
@@ -195,68 +182,37 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 	return m, nil
 }
 
-// DiscoverFromSamples runs structure learning + FD generation on an
-// already-transformed binary sample matrix (rows = tuple-pair indicators).
-// It is exposed separately so the scalability experiments can time the
-// model phase apart from the transform (paper Fig. 6 reports both).
-func DiscoverFromSamples(dt *linalg.Dense, names []string, opts Options) (*Model, error) {
-	return DiscoverFromSamplesContext(context.Background(), dt, names, opts)
-}
-
-// DiscoverFromSamplesContext is DiscoverFromSamples with cancellation.
-func DiscoverFromSamplesContext(ctx context.Context, dt *linalg.Dense, names []string, opts Options) (*Model, error) {
-	if c := dt.Cols(); c != len(names) {
-		return nil, fdxerr.BadInput("core: sample matrix has %d columns, want %d", c, len(names))
-	}
-	return discoverFromMoments(ctx, names, opts, func() *linalg.Dense {
-		if opts.PooledCovariance {
-			return stats.Covariance(dt)
-		}
-		// One stratum per attribute-sorted block of the transform.
-		return stats.StratifiedCovariance(dt, len(names))
-	})
-}
-
-// DiscoverFromBitsContext is DiscoverFromSamplesContext over the
-// bit-packed sample store — the pipeline's own path. The covariance comes
-// from popcount co-occurrence counts (fanned out over Transform.Workers),
-// bit-identical to the float estimators on the unpacked block.
+// DiscoverFromBitsContext runs structure learning + FD generation on the
+// bit-packed pair-sample store (see TransformBitsContext) — the model
+// phase apart from the transform, which paper Fig. 6 times separately. The
+// covariance comes from popcount co-occurrence counts (fanned out over
+// Transform.Workers), bit-identical to the float estimators in
+// internal/stats on the unpacked block.
 func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, opts Options) (*Model, error) {
 	if pb.k != len(names) {
 		return nil, fdxerr.BadInput("core: sample store has %d columns, want %d", pb.k, len(names))
 	}
-	return discoverFromMoments(ctx, names, opts, func() *linalg.Dense {
-		if opts.PooledCovariance {
-			return pb.Covariance(opts.Transform.Workers)
-		}
-		return pb.StratifiedCovariance(opts.Transform.Workers)
-	})
-}
-
-// discoverFromMoments estimates the pair-model covariance with cov under
-// the "covariance" stage span, then runs structure learning on it.
-func discoverFromMoments(ctx context.Context, names []string, opts Options, cov func() *linalg.Dense) (*Model, error) {
 	opts.defaults()
 	csp := opts.Obs.StartStage("covariance")
-	s := cov()
+	var s *linalg.Dense
+	if opts.PooledCovariance {
+		s = pb.Covariance(opts.Transform.Workers)
+	} else {
+		s = pb.StratifiedCovariance(opts.Transform.Workers)
+	}
 	csp.Attr("dim", len(names))
 	csp.End()
 	return DiscoverFromCovarianceContext(ctx, s, names, opts)
 }
 
-// DiscoverFromCovariance runs structure learning + FD generation on a
-// pre-computed covariance estimate of the pair model — the entry point for
-// incremental discovery, where the covariance is maintained as running
-// sufficient statistics instead of recomputed from samples.
-func DiscoverFromCovariance(s *linalg.Dense, names []string, opts Options) (*Model, error) {
-	return DiscoverFromCovarianceContext(context.Background(), s, names, opts)
-}
-
-// DiscoverFromCovarianceContext is DiscoverFromCovariance with
-// cancellation. Non-finite covariance entries are sanitized (recorded in
-// Diagnostics) rather than propagated, and failures of the Graphical Lasso
-// or the UDUᵀ factorization walk a deterministic regularization fallback
-// ladder before being reported.
+// DiscoverFromCovarianceContext runs structure learning + FD generation on
+// a pre-computed covariance estimate of the pair model — the entry point
+// for incremental discovery, where the covariance is maintained as running
+// sufficient statistics instead of recomputed from samples. Non-finite
+// covariance entries are sanitized (recorded in Diagnostics) rather than
+// propagated, and failures of the Graphical Lasso or the UDUᵀ
+// factorization walk a deterministic regularization fallback ladder
+// before being reported.
 func DiscoverFromCovarianceContext(ctx context.Context, s *linalg.Dense, names []string, opts Options) (*Model, error) {
 	opts.defaults()
 	k := len(names)
@@ -287,9 +243,7 @@ func DiscoverFromCovarianceContext(ctx context.Context, s *linalg.Dense, names [
 	psp := opts.Obs.StartStage("prepare")
 	diag.SanitizedColumns = sanitizeCovariance(s)
 
-	if !opts.RawCovariance {
-		stats.CorrelationInPlace(s)
-	}
+	stats.CorrelationInPlace(s)
 	// Light shrinkage keeps the estimate well-conditioned when columns are
 	// (nearly) collinear — exact FDs make Z columns exactly dependent.
 	stats.ShrinkInPlace(s, 0.05)
@@ -310,73 +264,28 @@ func DiscoverFromCovarianceContext(ctx context.Context, s *linalg.Dense, names [
 	theta := fit.br.DensePrecision()
 	perm := fit.globalPerm()
 
-	// The per-block factorization is exact only under the adaptive
-	// threshold rule with a positive floor (cross-block coefficients are
-	// exact zeros, which a positive floor can never admit); a non-positive
-	// floor or the global random-order search needs the dense assembly.
-	dense := opts.OrderCandidates > 0 || opts.Threshold <= 0
-	var bP *linalg.Dense
-	if dense {
-		bP = fit.denseBP()
-	}
-
-	// Sparsest-permutation search: try extra random global orders and keep
-	// the one whose thresholded autoregression matrix has the fewest edges.
-	if opts.OrderCandidates > 0 {
-		osp := opts.Obs.StartStage("order-search")
-		osp.Attr("candidates", opts.OrderCandidates)
-		bestEdges := countEdges(bP, opts.Threshold, opts.RelFraction)
-		rng := rand.New(rand.NewSource(opts.Seed + 1))
-		for c := 0; c < opts.OrderCandidates; c++ {
-			if cerr := ctx.Err(); cerr != nil {
-				osp.End()
-				return nil, fdxerr.Cancelled(cerr)
-			}
-			cand := linalg.Permutation(rng.Perm(k))
-			cb, _, cerr := autoregress(theta, cand)
-			if cerr != nil {
-				continue
-			}
-			if e := countEdges(cb, opts.Threshold, opts.RelFraction); e < bestEdges {
-				bestEdges, bP, perm = e, cb, cand
-			}
-		}
-		osp.End()
-	}
-
 	gsp := opts.Obs.StartStage("generate")
-	// Map back to original attribute coordinates.
+	// Remap and generate per block, never touching the off-block entries:
+	// they are exact zeros by the screening theorem (and b starts zeroed).
+	// Generating on the dense assembly would give the same FDs, because
+	// GenerateFDs admits only non-zero coefficients, so cross-block entries
+	// can neither enter an FD nor raise a per-column relative maximum.
 	b := linalg.NewDense(k, k)
 	var fds []FD
-	if dense {
-		//fdx:lint-ignore ctxflow O(k²) index remap of a finished result; bounded glue with no kernel work
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				b.Set(perm[i], perm[j], bP.At(i, j))
+	off := 0
+	//fdx:lint-ignore ctxflow O(Σ|block|²) index remap of a finished result; bounded glue with no kernel work
+	for c, bPc := range fit.bPs {
+		n := len(fit.br.Part.Block(c))
+		bperm := perm[off : off+n]
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				b.Set(bperm[i], bperm[j], bPc.At(i, j))
 			}
 		}
-		fds = GenerateFDs(bP, perm, opts.Threshold, opts.RelFraction)
-	} else {
-		// Blocked path: remap and generate per block, never touching the
-		// off-block entries (exact zeros by the screening theorem, and b
-		// starts zeroed). Identical output to the dense path: a positive
-		// floor never admits a zero coefficient, so cross-block entries
-		// can neither enter an FD nor raise a per-column relative max.
-		off := 0
-		//fdx:lint-ignore ctxflow O(Σ|block|²) index remap of a finished result; bounded glue with no kernel work
-		for c, bPc := range fit.bPs {
-			n := len(fit.br.Part.Block(c))
-			bperm := perm[off : off+n]
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					b.Set(bperm[i], bperm[j], bPc.At(i, j))
-				}
-			}
-			fds = append(fds, GenerateFDs(bPc, bperm, opts.Threshold, opts.RelFraction)...)
-			off += n
-		}
-		SortFDs(fds)
+		fds = append(fds, GenerateFDs(bPc, bperm, opts.Threshold, opts.RelFraction)...)
+		off += n
 	}
+	SortFDs(fds)
 	gsp.Attr("fds", len(fds))
 	gsp.End()
 	opts.Obs.Count(obs.MFDsGenerated, uint64(len(fds)))
@@ -401,8 +310,8 @@ var fallbackEpsilons = []float64{1e-8, 1e-6, 1e-4, 1e-2}
 
 // blockFit is the screened fit the ladder accepted: the blocked glasso
 // result plus one fill-reducing order and autoregression matrix per
-// block. Nothing here is densified; the dense assemblies (Model.Theta,
-// the OrderCandidates search input) are built on demand by the caller.
+// block. Nothing here is densified; the caller assembles Model.Theta and
+// Model.B from the blocks.
 type blockFit struct {
 	br    *glasso.BlockedResult
 	perms []linalg.Permutation // per-block orders, position → local index
@@ -424,22 +333,6 @@ func (f *blockFit) globalPerm() linalg.Permutation {
 		}
 	}
 	return perm
-}
-
-// denseBP assembles the block-diagonal autoregression matrix in the
-// coordinates of globalPerm (exact zeros off-block).
-func (f *blockFit) denseBP() *linalg.Dense {
-	k := f.br.Part.K()
-	out := linalg.NewDense(k, k)
-	off := 0
-	for c, bPc := range f.bPs {
-		n := len(f.br.Part.Block(c))
-		for i := 0; i < n; i++ {
-			copy(out.Row(off + i)[off:off+n], bPc.Row(i))
-		}
-		off += n
-	}
-	return out
 }
 
 // fitLadder estimates the precision matrix and factorizes it, walking the
@@ -560,7 +453,7 @@ func orderAndFactorize(ctx context.Context, theta *linalg.Dense, diag *Diagnosti
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, nil, fdxerr.Cancelled(cerr)
 	}
-	g := ordering.FromPrecision(theta, opts.GraphTol)
+	g := ordering.FromPrecision(theta, graphTol)
 	perm, err := ordering.OrderObs(opts.Ordering, g, opts.Seed, opts.Obs)
 	if err != nil {
 		// Already ErrBadInput-wrapped by the ordering package.
@@ -620,27 +513,12 @@ func columnThreshold(bP *linalg.Dense, j int, floor, frac float64) float64 {
 	return floor
 }
 
-// countEdges counts super-diagonal entries of bP passing the adaptive
-// threshold rule.
-func countEdges(bP *linalg.Dense, floor, frac float64) int {
-	k, _ := bP.Dims()
-	edges := 0
-	for j := 0; j < k; j++ {
-		th := columnThreshold(bP, j, floor, frac)
-		for i := 0; i < j; i++ {
-			if math.Abs(bP.At(i, j)) >= th {
-				edges++
-			}
-		}
-	}
-	return edges
-}
-
 // GenerateFDs implements Algorithm 3 on a permuted autoregression matrix:
-// for each column j, the rows i<j whose |B[i,j]| passes the adaptive
-// threshold rule (floor and per-column relative fraction) form the
-// determinant set of an FD for attribute perm[j]. Indices in the returned
-// FDs are original attribute indices.
+// for each column j, the rows i<j whose B[i,j] is non-zero and passes the
+// adaptive threshold rule (floor and per-column relative fraction) form
+// the determinant set of an FD for attribute perm[j]. An exact zero never
+// enters, whatever the floor. Indices in the returned FDs are original
+// attribute indices.
 // Panics if perm's length differs from bP's dimension.
 func GenerateFDs(bP *linalg.Dense, perm linalg.Permutation, floor, frac float64) []FD {
 	k, _ := bP.Dims()
@@ -653,7 +531,7 @@ func GenerateFDs(bP *linalg.Dense, perm linalg.Permutation, floor, frac float64)
 		var lhs []int
 		score := 0.0
 		for i := 0; i < j; i++ {
-			if v := math.Abs(bP.At(i, j)); v >= th {
+			if v := math.Abs(bP.At(i, j)); v > 0 && v >= th {
 				lhs = append(lhs, perm[i])
 				if v > score {
 					score = v
@@ -668,49 +546,4 @@ func GenerateFDs(bP *linalg.Dense, perm linalg.Permutation, floor, frac float64)
 	}
 	SortFDs(fds)
 	return fds
-}
-
-// FormatFDs renders the model's FDs one per line using attribute names.
-func (m *Model) FormatFDs() string {
-	var b strings.Builder
-	for _, fd := range m.FDs {
-		b.WriteString(fd.Format(m.AttrNames))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// Heatmap renders the absolute autoregression matrix as an ASCII heatmap
-// (rows/columns in original attribute order), the textual analogue of the
-// paper's Figure 3/5 plots.
-func (m *Model) Heatmap() string {
-	k := len(m.AttrNames)
-	var sb strings.Builder
-	width := 0
-	for _, n := range m.AttrNames {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	if width > 18 {
-		width = 18
-	}
-	ramp := []byte(" .:-=+*#%@")
-	for i := 0; i < k; i++ {
-		name := m.AttrNames[i]
-		if len(name) > width {
-			name = name[:width]
-		}
-		fmt.Fprintf(&sb, "%-*s |", width, name)
-		for j := 0; j < k; j++ {
-			v := math.Abs(m.B.At(i, j))
-			if v > 1 {
-				v = 1
-			}
-			idx := int(v * float64(len(ramp)-1))
-			sb.WriteByte(ramp[idx])
-		}
-		sb.WriteString("|\n")
-	}
-	return sb.String()
 }

@@ -191,7 +191,8 @@ type BatchDelta struct {
 	// It seeded the batch's transform (Options.Seed + Global) and extends
 	// the accumulator's coverage; for an unsharded stream it is Seq-1.
 	Global int
-	// Rows is the batch's tuple count (added to every stratum's count).
+	// Rows is the batch's tuple count. Every stratum gains one pair per
+	// tuple the transform used: Rows, capped at Transform.MaxRows.
 	Rows int
 	// Sums[s] is the batch's per-stratum sum of transformed sample rows.
 	Sums [][]float64
@@ -354,8 +355,14 @@ func (a *Accumulator) ApplyDelta(d *BatchDelta) error {
 			return fdxerr.BadInput("core: batch delta stratum %d outer is %dx%d, want %dx%d", s, r, c, k, k)
 		}
 	}
+	// MaxRows is part of the checkpoint fingerprint, so a replayed delta is
+	// counted under the cap its statistics were taken with.
+	pairs := d.Rows
+	if m := a.opts.Transform.MaxRows; m > 0 && pairs > m {
+		pairs = m
+	}
 	for s := 0; s < k; s++ {
-		a.count[s] += d.Rows
+		a.count[s] += pairs
 		sums := a.sums[s]
 		for p, v := range d.Sums[s] {
 			sums[p] += v

@@ -36,18 +36,23 @@ func TestAccumulatorSchemaChecks(t *testing.T) {
 func TestAccumulatorSingleBatchMatchesBatchCovariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := makeFDRelation(rng, 400, 0)
-	a := NewAccumulator(rel.AttrNames(), Options{Seed: 7})
-	if err := a.Add(rel); err != nil {
-		t.Fatal(err)
-	}
-	got, err := a.Covariance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := Transform(rel, TransformOptions{Seed: 7})
-	want := stats.StratifiedCovariance(dt, rel.NumCols())
-	if d := linalg.MaxAbsDiff(got, want); d > 1e-9 {
-		t.Errorf("single-batch covariance differs from batch estimator by %v", d)
+	// MaxRows 100 samples a quarter of the batch: each stratum then holds
+	// 100 pairs, and the covariance must divide by that count.
+	for _, maxRows := range []int{0, 100} {
+		topts := TransformOptions{Seed: 7, MaxRows: maxRows}
+		a := NewAccumulator(rel.AttrNames(), Options{Seed: 7, Transform: topts})
+		if err := a.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Covariance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dt := floatTransform(rel, topts)
+		want := stats.StratifiedCovariance(dt, rel.NumCols())
+		if d := linalg.MaxAbsDiff(got, want); d > 1e-9 {
+			t.Errorf("MaxRows %d: single-batch covariance differs from batch estimator by %v", maxRows, d)
+		}
 	}
 }
 
@@ -71,10 +76,10 @@ func TestAccumulatorIncrementalDiscovery(t *testing.T) {
 	edges := edgeSet(m.FDs)
 	und := func(x, y int) bool { return edges[[2]int{x, y}] || edges[[2]int{y, x}] }
 	if !und(0, 1) {
-		t.Errorf("streamed discovery lost a—b: %s", m.FormatFDs())
+		t.Errorf("streamed discovery lost a—b: %s", formatFDs(m))
 	}
 	if !und(3, 2) {
-		t.Errorf("streamed discovery lost c—d: %s", m.FormatFDs())
+		t.Errorf("streamed discovery lost c—d: %s", formatFDs(m))
 	}
 }
 
@@ -97,7 +102,7 @@ func TestAccumulatorMatchesFullRecomputeApproximately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt := Transform(full, TransformOptions{Seed: 8})
+	dt := floatTransform(full, TransformOptions{Seed: 8})
 	batchCov := stats.StratifiedCovariance(dt, full.NumCols())
 	// Same sign structure and magnitudes within a loose tolerance. The
 	// batches draw fresh random FD lookup tables, so only coarse agreement

@@ -53,15 +53,18 @@ func TestFaultSlowStageVisibleInSweepSpan(t *testing.T) {
 	// Transform fault-free first, then discover from the samples with the
 	// fault armed: the only faults.Sleep left on the path is the sweep's.
 	rel := fdRelation(60)
-	dt := Transform(rel, TransformOptions{})
+	pb, err := TransformBitsContext(context.Background(), rel, TransformOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	names := rel.AttrNames()
 
 	tr := obs.New()
 	faults.Arm(faults.SlowStage, faults.Config{Times: 1, Delay: delay})
 	opts := Options{Obs: obs.Hooks{Tracer: tr}}
 	opts.Transform.Workers = 1
-	if _, err := DiscoverFromSamplesContext(context.Background(), dt, names, opts); err != nil {
-		t.Fatalf("DiscoverFromSamples: %v", err)
+	if _, err := DiscoverFromBitsContext(context.Background(), pb, names, opts); err != nil {
+		t.Fatalf("DiscoverFromBitsContext: %v", err)
 	}
 
 	sweeps := tr.Find("glasso-sweep")

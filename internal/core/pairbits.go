@@ -50,9 +50,11 @@ func (pb *PairBits) col(s, l int) []uint64 {
 	return pb.bits[off : off+pb.words]
 }
 
-// Dense unpacks the store into the float sample block the float entry
-// points consume (stats.StratifiedCovariance, DiscoverFromSamples): row
-// s·n+j is the j-th pair of stratum s, with 1 in every agreeing column.
+// Dense unpacks the store into the float sample block that float
+// estimators such as stats.StratifiedCovariance consume: row s·n+j is the
+// j-th pair of stratum s, with 1 in every agreeing column. No production
+// path calls it: it backs TransformContext, which stays exported for the
+// benchmark's traced run (_perfbench) and the tests' float reference.
 func (pb *PairBits) Dense() *linalg.Dense {
 	out := linalg.NewDense(pb.n*pb.k, pb.k)
 	for s := 0; s < pb.k; s++ {

@@ -201,7 +201,7 @@ func TestPairBitsMatchFloatReference(t *testing.T) {
 	}{
 		{"categorical", makeFDRelation(rng, 200, 0.05), TransformOptions{Seed: 1}},
 		{"mixed-exact", mixed, TransformOptions{Seed: 2}},
-		{"numeric-tolerance-text-similarity", mixed, TransformOptions{Seed: 3, NumericTol: 0.01, TextSimilarity: true, TextThreshold: 0.8}},
+		{"numeric-tolerance-text-similarity", mixed, TransformOptions{Seed: 3, NumericTol: 0.01, TextSimilarity: true}},
 		{"max-rows", mixed, TransformOptions{Seed: 4, MaxRows: 77, NumericTol: 0.01}},
 		{"single-attribute", mixed.Project(0), TransformOptions{Seed: 5}},
 		{"n-not-word-multiple-past-poll", makeFDRelation(rng, 4100, 0.02).Project(0, 1, 3), TransformOptions{Seed: 6}},

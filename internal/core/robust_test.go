@@ -69,9 +69,9 @@ func TestCovarianceNaNDirectSanitization(t *testing.T) {
 		0.5, math.Inf(1), 0.1,
 		math.NaN(), 0.1, 1,
 	})
-	m, err := DiscoverFromCovariance(s, []string{"a", "b", "c"}, Options{})
+	m, err := DiscoverFromCovarianceContext(context.Background(), s, []string{"a", "b", "c"}, Options{})
 	if err != nil {
-		t.Fatalf("DiscoverFromCovariance: %v", err)
+		t.Fatalf("DiscoverFromCovarianceContext: %v", err)
 	}
 	checkValidModel(t, m, 3)
 	if got := m.Diagnostics.SanitizedColumns; len(got) != 3 {
@@ -170,12 +170,13 @@ func TestDiscoverContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestDiscoverContextCancelMidOrderSearch(t *testing.T) {
-	// The sparsest-permutation search checks the context per candidate.
+func TestDiscoverFromCovarianceContextPreCancelled(t *testing.T) {
+	// The covariance entry point skips the transform; the fallback ladder
+	// checks the context before its first rung.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s := stats_identityLike(6)
-	_, err := DiscoverFromCovarianceContext(ctx, s, []string{"a", "b", "c", "d", "e", "f"}, Options{OrderCandidates: 50})
+	_, err := DiscoverFromCovarianceContext(ctx, s, []string{"a", "b", "c", "d", "e", "f"}, Options{})
 	if !errors.Is(err, fdxerr.ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}

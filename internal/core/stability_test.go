@@ -52,32 +52,3 @@ func TestStabilitySelectionFiltersUnstableEdges(t *testing.T) {
 		t.Errorf("deterministic edge failed 0.99 stability: %v", strict)
 	}
 }
-
-func TestOrderCandidatesSearch(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	rel := makeFDRelation(rng, 800, 0)
-	base, err := Discover(rel, Options{Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	searched, err := Discover(rel, Options{Seed: 12, OrderCandidates: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The searched model may only have at most as many edges as the base
-	// (it minimizes edge count over candidate orders).
-	countEdgesOf := func(fds []FD) int {
-		n := 0
-		for _, fd := range fds {
-			n += len(fd.LHS)
-		}
-		return n
-	}
-	if countEdgesOf(searched.FDs) > countEdgesOf(base.FDs) {
-		t.Errorf("order search increased edges: %d > %d",
-			countEdgesOf(searched.FDs), countEdgesOf(base.FDs))
-	}
-	if !searched.Order.IsValid() {
-		t.Error("searched order invalid")
-	}
-}

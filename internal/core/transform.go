@@ -28,12 +28,9 @@ type TransformOptions struct {
 	// equality, as a fraction of the column's value scale (default 1e-9,
 	// i.e. effectively exact).
 	NumericTol float64
-	// TextSimilarity enables Jaccard 3-gram similarity ≥ TextThreshold as
+	// TextSimilarity enables Jaccard 3-gram similarity ≥ textThreshold as
 	// the text difference operator; otherwise text compares exactly.
 	TextSimilarity bool
-	// TextThreshold is the Jaccard similarity above which two text values
-	// are considered equal (default 0.9).
-	TextThreshold float64
 	// Workers sets the number of goroutines processing attribute blocks,
 	// and in discovery the count covariance's row chunks (0 = GOMAXPROCS,
 	// 1 = sequential). Each attribute's sorted block is independent, so
@@ -45,35 +42,23 @@ type TransformOptions struct {
 	Obs obs.Hooks
 }
 
+// textThreshold is the 3-gram Jaccard similarity at or above which two text
+// values are considered equal under TextSimilarity.
+const textThreshold = 0.9
+
 // defaults fills unset fields. (fdx:numeric-kernel: the exact zero value is
 // the "unset" sentinel on option fields, never a computed float.)
 func (o *TransformOptions) defaults() {
 	if o.NumericTol == 0 {
 		o.NumericTol = 1e-9
 	}
-	if o.TextThreshold == 0 {
-		o.TextThreshold = 0.9
-	}
 }
 
-// Transform implements Algorithm 2: for every attribute, sort the (shuffled)
-// relation by that attribute, pair each tuple with its successor under a
-// circular shift, and emit one binary row per pair whose l-th entry
-// indicates equality on attribute l. The output has n·k rows and k columns.
-//
-// Missing cells never match anything (including other missing cells): an
-// unknown value gives no evidence that the pair agrees.
-func Transform(rel *dataset.Relation, opts TransformOptions) *linalg.Dense {
-	// A background context never expires, so the error return is dead here.
-	dt, _ := TransformContext(context.Background(), rel, opts)
-	return dt
-}
-
-// TransformContext is Transform with cancellation: workers poll the context
-// between attribute blocks and every few thousand pair rows, and a wrapped
-// ctx.Err() is returned promptly on expiry. It is the float view of
-// TransformBitsContext — the bit store unpacked — for callers that bring
-// their own float estimators; the pipeline itself consumes the bits.
+// TransformContext is the float view of TransformBitsContext — the bit
+// store unpacked into an n·k × k sample block (PairBits.Dense) — for
+// callers that bring their own float estimators; the pipeline itself
+// consumes the bits. No production path calls it: it stays exported for
+// the benchmark's traced run and as the tests' float reference.
 func TransformContext(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*linalg.Dense, error) {
 	pb, err := TransformBitsContext(ctx, rel, opts)
 	if err != nil {
@@ -82,8 +67,15 @@ func TransformContext(ctx context.Context, rel *dataset.Relation, opts Transform
 	return pb.Dense(), nil
 }
 
-// TransformBitsContext runs the pair transform into the bit-packed sample
-// store (see PairBits), with TransformContext's cancellation contract.
+// TransformBitsContext implements Algorithm 2 into the bit-packed sample
+// store (see PairBits): for every attribute, sort the (shuffled) relation
+// by that attribute, pair each tuple with its successor under a circular
+// shift, and record per pair which attributes agree — k strata of n pairs.
+//
+// Missing cells never match anything (including other missing cells): an
+// unknown value gives no evidence that the pair agrees. Workers poll the
+// context between attribute blocks and every few thousand pair rows, and
+// a wrapped ctx.Err() is returned promptly on expiry.
 func TransformBitsContext(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*PairBits, error) {
 	opts.defaults()
 	n, k := transformDims(rel, &opts)
@@ -397,7 +389,7 @@ func cellsEqual(cc *colCtx, a, b int, ca, cb int32, opts *TransformOptions) bool
 		if cc.grams == nil {
 			return false
 		}
-		return cc.grams.jaccard(ca, cb) >= opts.TextThreshold
+		return cc.grams.jaccard(ca, cb) >= textThreshold
 	default:
 		return false
 	}
@@ -425,9 +417,9 @@ func buildTextGrams(col *dataset.Column) *textGrams {
 	return tg
 }
 
-// jaccard mirrors jaccard3gram over the precomputed sets of two
-// dictionary codes: short values fall back to exact (case-folded)
-// comparison.
+// jaccard returns the Jaccard similarity of the 3-gram sets of two
+// dictionary codes' case-folded values: short values fall back to exact
+// (case-folded) comparison.
 func (tg *textGrams) jaccard(ca, cb int32) float64 {
 	ga, gb := tg.grams[ca], tg.grams[cb]
 	if ga == nil || gb == nil {
@@ -436,31 +428,6 @@ func (tg *textGrams) jaccard(ca, cb int32) float64 {
 		}
 		return 0
 	}
-	inter := 0
-	for g := range ga {
-		if gb[g] {
-			inter++
-		}
-	}
-	union := len(ga) + len(gb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// jaccard3gram returns the Jaccard similarity of the 3-gram sets of two
-// strings (case-folded). Short strings fall back to exact comparison.
-func jaccard3gram(a, b string) float64 {
-	a, b = strings.ToLower(a), strings.ToLower(b)
-	if len(a) < 3 || len(b) < 3 {
-		if a == b {
-			return 1
-		}
-		return 0
-	}
-	ga := gramSet(a)
-	gb := gramSet(b)
 	inter := 0
 	for g := range ga {
 		if gb[g] {

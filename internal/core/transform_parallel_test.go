@@ -26,8 +26,8 @@ func TestTransformDeterministicAcrossWorkerCounts(t *testing.T) {
 			names[j] = "a" + strconv.Itoa(j)
 		}
 		rel := relFromCodes(rows, names...)
-		seq := Transform(rel, TransformOptions{Seed: seed, Workers: 1})
-		par := Transform(rel, TransformOptions{Seed: seed, Workers: 4})
+		seq := floatTransform(rel, TransformOptions{Seed: seed, Workers: 1})
+		par := floatTransform(rel, TransformOptions{Seed: seed, Workers: 4})
 		return linalg.MaxAbsDiff(seq, par) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
@@ -61,7 +61,7 @@ func TestDiscoverSurvivesPathologicalColumns(t *testing.T) {
 	// The duplicated pair must be linked.
 	edges := edgeSet(m.FDs)
 	if !edges[[2]int{3, 4}] && !edges[[2]int{4, 3}] {
-		t.Errorf("duplicate columns not linked: %s", m.FormatFDs())
+		t.Errorf("duplicate columns not linked: %s", formatFDs(m))
 	}
 }
 

@@ -145,8 +145,7 @@ func OrderFill(cfg Config) *Table {
 	for _, name := range bayesnet.Names() {
 		net, _ := bayesnet.ByName(name)
 		rel := net.Sample(rows, benchmarkNoise, cfg.Seed)
-		dt := core.Transform(rel, core.TransformOptions{Seed: cfg.Seed})
-		m, err := core.DiscoverFromSamples(dt, rel.AttrNames(), core.Options{Seed: cfg.Seed})
+		m, err := core.Discover(rel, core.Options{Seed: cfg.Seed})
 		if err != nil {
 			continue
 		}

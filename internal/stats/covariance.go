@@ -156,6 +156,11 @@ func SecondMoment(data *linalg.Dense) *linalg.Dense {
 // manufactures spurious negative cross-correlations between unrelated
 // attributes. Per-stratum centering removes that sampling artifact while
 // keeping every block's dependence signal.
+//
+// The pipeline computes this estimate from counts over its bit-packed
+// sample store (core.PairBits.StratifiedCovariance); this float form stays
+// exported for the benchmark's traced run (_perfbench) and as the tests'
+// reference for the count form.
 func StratifiedCovariance(data *linalg.Dense, strata int) *linalg.Dense {
 	n, k := data.Dims()
 	if strata <= 1 || n == 0 || n%strata != 0 {

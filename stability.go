@@ -29,20 +29,7 @@ type EdgeStability struct {
 // very noisy data. It returns the stable FDs and the full per-edge
 // frequency table (sorted by descending frequency).
 func DiscoverStable(rel *Relation, opts Options, sopts StabilityOptions) ([]FD, []EdgeStability, error) {
-	copts := core.Options{
-		Lambda:      opts.Lambda,
-		Threshold:   opts.Threshold,
-		RelFraction: opts.RelFraction,
-		Ordering:    opts.Ordering,
-		Seed:        opts.Seed,
-		Transform: core.TransformOptions{
-			Seed:           opts.Seed,
-			MaxRows:        opts.MaxRows,
-			NumericTol:     opts.NumericTolerance,
-			TextSimilarity: opts.TextSimilarity,
-		},
-	}
-	fds, freqs, err := core.StabilitySelection(rel, copts, core.StabilityOptions{
+	fds, freqs, err := core.StabilitySelection(rel, coreOptions(opts), core.StabilityOptions{
 		Runs:           sopts.Runs,
 		MinFrequency:   sopts.MinFrequency,
 		SampleFraction: sopts.SampleFraction,

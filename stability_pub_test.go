@@ -1,11 +1,13 @@
 package fdx_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"fdx"
+	"fdx/internal/faults"
 )
 
 func TestDiscoverStable(t *testing.T) {
@@ -19,9 +21,13 @@ func TestDiscoverStable(t *testing.T) {
 			fmt.Sprintf("n%d", rng.Intn(10)),
 		})
 	}
-	fds, freqs, err := fdx.DiscoverStable(rel, fdx.Options{Seed: 13}, fdx.StabilityOptions{Runs: 6, Seed: 13})
+	tr := fdx.NewTracer()
+	fds, freqs, err := fdx.DiscoverStable(rel, fdx.Options{Seed: 13, Tracer: tr}, fdx.StabilityOptions{Runs: 6, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := len(tr.Find("discover")); n != 6 {
+		t.Errorf("tracer recorded %d discover spans, want one per run (6)", n)
 	}
 	found := false
 	for _, fd := range fds {
@@ -42,5 +48,21 @@ func TestDiscoverStable(t *testing.T) {
 		if fd.RHS == "noise" {
 			t.Errorf("noise attribute in stable FDs: %v", fd)
 		}
+	}
+}
+
+// TestFaultDiscoverStableRequireConvergence checks that DiscoverStable
+// honours RequireConvergence: a Graphical Lasso forced never to converge
+// fails the call instead of yielding degraded runs.
+func TestFaultDiscoverStableRequireConvergence(t *testing.T) {
+	defer faults.Reset()
+	faults.Arm(faults.GlassoNoConverge, faults.Config{})
+	rel := fdx.NewRelation("t", "a", "b")
+	for i := 0; i < 60; i++ {
+		rel.AppendRow([]string{fmt.Sprint(i % 5), fmt.Sprint(i % 5 * 2)})
+	}
+	_, _, err := fdx.DiscoverStable(rel, fdx.Options{RequireConvergence: true}, fdx.StabilityOptions{Runs: 2})
+	if !errors.Is(err, fdx.ErrNotConverged) {
+		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
 }
