@@ -53,6 +53,17 @@ func fuzzSnapshotSeeds(tb testing.TB) (snap, wal []byte) {
 	return snap, wal
 }
 
+// readV1Golden returns a checkpoint file written by a version-1 build
+// (internal/checkpoint/testdata/v1, whose tests pin how they were made).
+func readV1Golden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("internal", "checkpoint", "testdata", "v1", name))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 // FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint restore
 // path. The contract: LoadCheckpoint either returns a valid Accumulator or
 // an error wrapping ErrCorruptCheckpoint, ErrCheckpointVersion, or
@@ -79,6 +90,14 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(uint8(2), validWAL[:len(validWAL)-3])
 	f.Add(uint8(2), []byte{})
 	f.Add(uint8(0), []byte("FDXCKPT1"))
+	// Version-1 files from a version-1 build, which restore converts: a
+	// snapshot of the same first two batches, and the WAL of four batches
+	// in both record layouts.
+	v1Snap := readV1Golden(f, "stream.fdx")
+	f.Add(uint8(0), v1Snap)
+	f.Add(uint8(1), v1Snap)
+	f.Add(uint8(2), readV1Golden(f, "stream.fdx.wal"))
+	f.Add(uint8(2), readV1Golden(f, "legacy.wal"))
 
 	f.Fuzz(func(t *testing.T, mode uint8, data []byte) {
 		if len(data) > 1<<16 {

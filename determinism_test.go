@@ -244,8 +244,9 @@ func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
 	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
 	const batch = 100
 	k := rel.NumCols()
-	// The float reference: each batch's per-stratum moments summed from
-	// the unpacked sample rows, folded in through the WAL replay path.
+	// The float reference: each batch's per-stratum column sums and its
+	// outer products summed over strata, accumulated in float64 from the
+	// unpacked sample rows and folded in through the WAL replay path.
 	ref := core.NewAccumulator(rel.AttrNames(), core.Options{Seed: 7})
 	for g, lo := 0, 0; lo < rel.NumRows(); g, lo = g+1, lo+batch {
 		b := rel.Slice(lo, min(lo+batch, rel.NumRows()))
@@ -254,18 +255,26 @@ func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
 			t.Fatal(err)
 		}
 		sn := dt.Rows() / k
-		d := &core.BatchDelta{Seq: g + 1, Global: g, Rows: b.NumRows(), Sums: make([][]float64, k), Outer: make([]*linalg.Dense, k)}
+		sums := make([]float64, k*k)
+		outer := linalg.NewDense(k, k)
 		for s := 0; s < k; s++ {
-			d.Sums[s] = make([]float64, k)
-			d.Outer[s] = linalg.NewDense(k, k)
 			for i := s * sn; i < (s+1)*sn; i++ {
 				row := dt.Row(i)
 				for p := range row {
-					d.Sums[s][p] += row[p]
+					sums[s*k+p] += row[p]
 					for q := range row {
-						d.Outer[s].Add(p, q, row[p]*row[q])
+						outer.Add(p, q, row[p]*row[q])
 					}
 				}
+			}
+		}
+		d := &core.BatchDelta{Seq: g + 1, Global: g, Rows: b.NumRows(), Sums: make([]uint64, k*k)}
+		for i, v := range sums {
+			d.Sums[i] = uint64(v)
+		}
+		for p := 0; p < k; p++ {
+			for q := p; q < k; q++ {
+				d.Co = append(d.Co, uint64(outer.At(p, q)))
 			}
 		}
 		if err := ref.ApplyDelta(d); err != nil {

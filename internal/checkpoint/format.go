@@ -3,7 +3,7 @@
 // sufficient statistics plus an append-only batch WAL, so a killed
 // streaming process resumes losing at most the one unsynced tail batch.
 //
-// # Snapshot format (version 1)
+// # Snapshot format (version 2)
 //
 // A snapshot is a 16-byte prologue followed by framed sections:
 //
@@ -18,12 +18,19 @@
 //	12      n     payload
 //	12+n    4     CRC32C over ID + length + payload
 //
-// Sections appear in any order after meta; readers skip unknown IDs (still
-// CRC-checked) so minor format additions stay readable, and the stream
-// ends with the zero-length end section. The versioning recipe: a new
-// optional field gets a new section ID (old readers skip it); a change old
-// readers would misinterpret bumps the version, which they reject with
-// ErrCheckpointVersion.
+// Version 2 has a meta section (fingerprint, rows, batches, k, names), a
+// counts section (the pair count, the k×k per-stratum column sums and the
+// k(k+1)/2 packed co-occurrence counts, all u64) and, for a non-sequential
+// coverage, a ranges section. Sections may appear in any order; readers
+// skip unknown IDs (still CRC-checked) so minor format additions stay
+// readable, and the stream ends with the zero-length end section. The
+// versioning recipe: a new optional field gets a new section ID (old
+// readers skip it); a change old readers would misinterpret bumps the
+// version, which they reject with ErrCheckpointVersion.
+//
+// Version 1 held the same statistics as float64: per-stratum counts, k×k
+// sums and k outer-product matrices (8·k³ bytes). It is still read, and
+// converted by fromV1.
 //
 // # WAL format
 //
@@ -33,10 +40,13 @@
 //	4    n    payload (one encoded core.BatchDelta)
 //	4+n  4    CRC32C over length + payload
 //
-// A record that runs past end-of-file, or whose CRC fails with no bytes
-// after it, is a torn tail from a crash mid-append: replay stops there and
-// truncates the file. A CRC failure with valid bytes after it cannot come
-// from a torn append and is reported as ErrCorruptCheckpoint.
+// A version-2 payload opens with the u64 walTag, whose top bit no
+// version-1 payload's first field (a sequence number) can have, so the two
+// are told apart at every k. A record that runs past end-of-file, or whose
+// CRC fails with no bytes after it, is a torn tail from a crash mid-append:
+// replay stops there and truncates the file. A CRC failure with valid
+// bytes after it cannot come from a torn append and is reported as
+// ErrCorruptCheckpoint.
 package checkpoint
 
 import (
@@ -51,28 +61,52 @@ import (
 )
 
 const (
-	// magic identifies a snapshot file; the trailing byte doubles as a
-	// human-readable format generation.
+	// magic identifies a snapshot file.
 	magic = "FDXCKPT1"
-	// version is the snapshot format version this build reads and writes.
-	version = 1
+	// version is the snapshot format version this build writes; it also
+	// reads version1.
+	version  = 2
+	version1 = 1
 
-	// Section IDs of the version-1 snapshot.
-	secEnd    = 0 // zero-length terminator
-	secMeta   = 1 // fingerprint, counters, attribute names
-	secCounts = 2 // per-stratum observation counts
-	secSums   = 3 // per-stratum sum vectors
-	secOuter  = 4 // per-stratum outer-product sums
-	secRanges = 5 // batch-coverage intervals (absent = [0, batches))
+	// Section IDs. Meta and ranges are common to both versions; IDs 2–4
+	// hold version 1's float statistics, ID 6 version 2's counts.
+	secEnd      = 0 // zero-length terminator
+	secMeta     = 1 // fingerprint, counters, attribute names
+	secCountsV1 = 2 // version 1: per-stratum observation counts
+	secSumsV1   = 3 // version 1: per-stratum sum vectors
+	secOuterV1  = 4 // version 1: per-stratum outer-product sums
+	secRanges   = 5 // batch-coverage intervals (absent = [0, batches))
+	secCounts   = 6 // version 2: pairs, per-stratum sums, co-occurrences
+
+	// walTag opens every version-2 WAL record payload.
+	walTag = 1<<63 | version
+	// walHeaderLen is a version-2 record's bytes before its counts: tag,
+	// seq, rows, global (u64 each) and k (u32).
+	walHeaderLen = 4*8 + 4
 
 	// maxSectionLen bounds a section (and WAL record) payload so a
 	// corrupted length field cannot demand an absurd allocation.
 	maxSectionLen = 1 << 27
-	// maxAttrs bounds the attribute count a snapshot may claim: the cubic
-	// outer-product section of a larger schema would exceed maxSectionLen
-	// (8·k³ bytes), so the bound keeps everything we write readable.
-	maxAttrs = 256
 )
+
+// maxAttrs is the largest attribute count whose biggest payload, a WAL
+// record, fits in maxSectionLen (3,344); every counts section is smaller.
+// Writers refuse more, so everything written stays readable.
+var maxAttrs = func() int {
+	k := 0
+	for walHeaderLen+countsLen(k+1) <= maxSectionLen {
+		k++
+	}
+	return k
+}()
+
+// inRange reports whether a counter or index fits the [0, 2⁶²] range
+// readers accept.
+func inRange(v int) bool { return v >= 0 && v <= 1<<62 }
+
+// countsLen is the encoded size of k attributes' sums and co-occurrence
+// counts.
+func countsLen(k int) int { return 8 * (k*k + k*(k+1)/2) }
 
 // castagnoli is the CRC32C table used for every checksum in the format.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -82,12 +116,19 @@ type enc struct{ buf []byte }
 
 func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
 func (e *enc) str(s string) {
 	e.u32(uint32(len(s)))
 	e.buf = append(e.buf, s...)
+}
+
+// counts appends k attributes' sums and co-occurrence counts.
+func (e *enc) counts(sums, co []uint64) {
+	for _, v := range sums {
+		e.u64(v)
+	}
+	for _, v := range co {
+		e.u64(v)
+	}
 }
 
 // dec is a little-endian payload reader; every getter reports whether the
@@ -112,9 +153,18 @@ func (d *dec) u64() (uint64, bool) {
 	return v, true
 }
 
-func (d *dec) f64() (float64, bool) {
-	v, ok := d.u64()
-	return math.Float64frombits(v), ok
+// counts reads k attributes' sums and co-occurrence counts; the caller
+// has checked that countsLen(k) bytes remain.
+func (d *dec) counts(k int) (sums, co []uint64) {
+	sums = make([]uint64, k*k)
+	co = make([]uint64, k*(k+1)/2)
+	for i := range sums {
+		sums[i], _ = d.u64()
+	}
+	for i := range co {
+		co[i], _ = d.u64()
+	}
+	return sums, co
 }
 
 func (d *dec) str() (string, bool) {
@@ -205,4 +255,45 @@ func (fr flipReader) Read(p []byte) (int, error) {
 		p[0] ^= 0x40
 	}
 	return n, err
+}
+
+// fromV1 converts version-1 float statistics to counts. sums holds the
+// k×k column sums and outer the k stratum outer products (k×k each), as
+// little-endian float64 payload bytes of exactly those lengths. Every
+// value must be an integer in [0, limit] and every outer product
+// symmetric, as the version-1 writer left them; the outer products'
+// upper triangles are summed over strata. Anything else wraps
+// ErrCorruptCheckpoint. (fdx:numeric-kernel: v == Trunc(v) is the exact
+// integrality test a count must pass; a tolerance would accept non-counts.)
+func fromV1(k int, limit uint64, sums, outer []byte) ([]uint64, []uint64, error) {
+	count := func(raw []byte, i int) (uint64, bool) {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if !(v >= 0 && v <= float64(limit) && v == math.Trunc(v)) {
+			return 0, false
+		}
+		return uint64(v), true
+	}
+	s := make([]uint64, k*k)
+	for i := range s {
+		v, ok := count(sums, i)
+		if !ok {
+			return nil, nil, fdxerr.Corrupt("checkpoint: version-1 sum %d is not a count in [0, %d]", i, limit)
+		}
+		s[i] = v
+	}
+	co := make([]uint64, k*(k+1)/2)
+	for st := 0; st < k; st++ {
+		m, i := st*k*k, 0
+		for p := 0; p < k; p++ {
+			for q := p; q < k; q++ {
+				v, ok := count(outer, m+p*k+q)
+				if !ok || !bytes.Equal(outer[8*(m+p*k+q):][:8], outer[8*(m+q*k+p):][:8]) {
+					return nil, nil, fdxerr.Corrupt("checkpoint: version-1 outer product %d entry (%d,%d) is not a symmetric count in [0, %d]", st, p, q, limit)
+				}
+				co[i] += v
+				i++
+			}
+		}
+	}
+	return s, co, nil
 }

@@ -6,13 +6,13 @@ import (
 
 	"fdx/internal/core"
 	"fdx/internal/fdxerr"
-	"fdx/internal/linalg"
 )
 
-// WriteSnapshot encodes the accumulator state to w in the version-1
+// WriteSnapshot encodes the accumulator state to w in the version-2
 // snapshot format. fingerprint identifies the options the state was
 // accumulated under; restore refuses a snapshot whose fingerprint differs
-// from the caller's options.
+// from the caller's options. A state ReadSnapshot could not read back is
+// refused with ErrBadInput before anything is written.
 func WriteSnapshot(w io.Writer, st *core.AccumulatorState, fingerprint uint64) error {
 	if st == nil {
 		return fdxerr.BadInput("checkpoint: nil accumulator state")
@@ -21,14 +21,12 @@ func WriteSnapshot(w io.Writer, st *core.AccumulatorState, fingerprint uint64) e
 	if k > maxAttrs {
 		return fdxerr.BadInput("checkpoint: %d attributes exceed the format limit %d", k, maxAttrs)
 	}
-	var prologue enc
-	prologue.buf = append(prologue.buf, magic...)
-	prologue.u32(version)
-	prologue.u32(0) // reserved flags
-	if err := writeFull(w, prologue.buf); err != nil {
-		return err
+	if !inRange(st.Rows) || !inRange(st.Batches) || len(st.Ranges) > st.Batches {
+		return fdxerr.BadInput("checkpoint: state has rows %d, batches %d, %d ranges", st.Rows, st.Batches, len(st.Ranges))
 	}
-
+	if len(st.Sums) != k*k || len(st.Co) != k*(k+1)/2 {
+		return fdxerr.BadInput("checkpoint: state has %d sums and %d co-occurrence counts for %d attributes", len(st.Sums), len(st.Co), k)
+	}
 	var meta enc
 	meta.u64(fingerprint)
 	meta.u64(uint64(st.Rows))
@@ -37,54 +35,42 @@ func WriteSnapshot(w io.Writer, st *core.AccumulatorState, fingerprint uint64) e
 	for _, n := range st.Names {
 		meta.str(n)
 	}
-	if err := writeSection(w, secMeta, meta.buf); err != nil {
-		return err
-	}
-
-	var counts enc
-	for _, c := range st.Count {
-		counts.u64(uint64(c))
-	}
-	if err := writeSection(w, secCounts, counts.buf); err != nil {
-		return err
-	}
-
-	var sums enc
-	for _, stratum := range st.Sums {
-		for _, v := range stratum {
-			sums.f64(v)
-		}
-	}
-	if err := writeSection(w, secSums, sums.buf); err != nil {
-		return err
-	}
-
-	var outer enc
-	for _, m := range st.Outer {
-		for _, v := range m.Data() {
-			outer.f64(v)
-		}
-	}
-	if err := writeSection(w, secOuter, outer.buf); err != nil {
-		return err
-	}
-
 	// The coverage section is written only when it differs from the
-	// sequential default [0, batches), so unsharded snapshots stay
-	// byte-identical to what pre-sharding builds wrote (and readable by
-	// them — readers skip unknown sections).
+	// sequential default [0, batches).
+	var ranges enc
 	if !sequentialRanges(st.Ranges, st.Batches) {
-		var ranges enc
 		ranges.u32(uint32(len(st.Ranges)))
 		for _, r := range st.Ranges {
 			ranges.u64(uint64(r.Lo))
 			ranges.u64(uint64(r.Hi))
 		}
+	}
+	// The counts section fits: k ≤ maxAttrs.
+	if len(meta.buf) > maxSectionLen || len(ranges.buf) > maxSectionLen {
+		return fdxerr.BadInput("checkpoint: meta (%d bytes) or ranges (%d bytes) section exceeds the format limit %d", len(meta.buf), len(ranges.buf), maxSectionLen)
+	}
+	counts := enc{buf: make([]byte, 0, 8+countsLen(k))}
+	counts.u64(st.Pairs)
+	counts.counts(st.Sums, st.Co)
+
+	var prologue enc
+	prologue.buf = append(prologue.buf, magic...)
+	prologue.u32(version)
+	prologue.u32(0) // reserved flags
+	if err := writeFull(w, prologue.buf); err != nil {
+		return err
+	}
+	if err := writeSection(w, secMeta, meta.buf); err != nil {
+		return err
+	}
+	if err := writeSection(w, secCounts, counts.buf); err != nil {
+		return err
+	}
+	if ranges.buf != nil {
 		if err := writeSection(w, secRanges, ranges.buf); err != nil {
 			return err
 		}
 	}
-
 	return writeSection(w, secEnd, nil)
 }
 
@@ -99,9 +85,10 @@ func sequentialRanges(rs []core.BatchRange, batches int) bool {
 }
 
 // ReadSnapshot decodes a snapshot from r, returning the accumulator state
-// and the options fingerprint it was written under. Failures wrap
-// ErrCorruptCheckpoint (bad magic, CRC mismatch, inconsistent dimensions)
-// or ErrCheckpointVersion (intact bytes from an incompatible version).
+// and the options fingerprint it was written under. A version-1 snapshot
+// is converted (fromV1). Failures wrap ErrCorruptCheckpoint (bad magic,
+// CRC mismatch, inconsistent dimensions) or ErrCheckpointVersion (intact
+// bytes from an incompatible version).
 func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 	fr := flipReader{r}
 	prologue := make([]byte, 16)
@@ -111,8 +98,9 @@ func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 	if string(prologue[:8]) != magic {
 		return nil, 0, fdxerr.Corrupt("checkpoint: bad magic %q", prologue[:8])
 	}
-	if v := binary.LittleEndian.Uint32(prologue[8:]); v != version {
-		return nil, 0, fdxerr.Version("checkpoint: format version %d, this build reads %d", v, version)
+	ver := binary.LittleEndian.Uint32(prologue[8:])
+	if ver != version && ver != version1 {
+		return nil, 0, fdxerr.Version("checkpoint: format version %d, this build reads %d and %d", ver, version1, version)
 	}
 	if flags := binary.LittleEndian.Uint32(prologue[12:]); flags != 0 {
 		// Reserved for future revisions; a flag this build does not know
@@ -120,11 +108,9 @@ func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 		return nil, 0, fdxerr.Version("checkpoint: unknown format flags %#x", flags)
 	}
 
-	var (
-		st          *core.AccumulatorState
-		fingerprint uint64
-		seen        = map[uint32]bool{}
-	)
+	// Unknown sections from a newer minor revision are checksummed by
+	// readSection and then ignored.
+	sections := map[uint32][]byte{}
 	for {
 		id, payload, err := readSection(fr)
 		if err != nil {
@@ -136,34 +122,31 @@ func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 			}
 			break
 		}
-		if seen[id] {
+		if _, dup := sections[id]; dup {
 			return nil, 0, fdxerr.Corrupt("checkpoint: duplicate section %d", id)
 		}
-		seen[id] = true
-		switch id {
-		case secMeta:
-			st, fingerprint, err = decodeMeta(payload)
-		case secCounts:
-			err = decodeCounts(st, payload)
-		case secSums:
-			err = decodeSums(st, payload)
-		case secOuter:
-			err = decodeOuter(st, payload)
-		case secRanges:
-			err = decodeRanges(st, payload)
-		default:
-			// Unknown section from a newer minor revision: checksummed
-			// above, skipped here.
-		}
-		if err != nil {
+		sections[id] = payload
+	}
+	meta, ok := sections[secMeta]
+	if !ok {
+		return nil, 0, fdxerr.Corrupt("checkpoint: missing meta section")
+	}
+	st, fingerprint, err := decodeMeta(meta)
+	if err != nil {
+		return nil, 0, err
+	}
+	if ranges, ok := sections[secRanges]; ok {
+		if err := decodeRanges(st, ranges); err != nil {
 			return nil, 0, err
 		}
 	}
-	if st == nil {
-		return nil, 0, fdxerr.Corrupt("checkpoint: missing meta section")
+	if ver == version1 {
+		err = decodeV1(st, sections)
+	} else {
+		err = decodeCounts(st, sections)
 	}
-	if !seen[secCounts] || !seen[secSums] || !seen[secOuter] {
-		return nil, 0, fdxerr.Corrupt("checkpoint: missing state sections")
+	if err != nil {
+		return nil, 0, err
 	}
 	return st, fingerprint, nil
 }
@@ -179,7 +162,7 @@ func decodeMeta(payload []byte) (*core.AccumulatorState, uint64, error) {
 	if !ok1 || !ok2 || !ok3 || !ok4 {
 		return nil, 0, fdxerr.Corrupt("checkpoint: meta section too short")
 	}
-	if k > maxAttrs {
+	if int(k) > maxAttrs {
 		return nil, 0, fdxerr.Corrupt("checkpoint: meta claims %d attributes (max %d)", k, maxAttrs)
 	}
 	if rows > 1<<62 || batches > 1<<62 {
@@ -203,43 +186,46 @@ func decodeMeta(payload []byte) (*core.AccumulatorState, uint64, error) {
 	return st, fingerprint, nil
 }
 
-func decodeCounts(st *core.AccumulatorState, payload []byte) error {
-	if st == nil {
-		return fdxerr.Corrupt("checkpoint: counts section before meta")
-	}
+// decodeCounts parses the version-2 counts section.
+func decodeCounts(st *core.AccumulatorState, sections map[uint32][]byte) error {
 	k := len(st.Names)
-	if len(payload) != 8*k {
-		return fdxerr.Corrupt("checkpoint: counts section is %d bytes, want %d", len(payload), 8*k)
+	payload, ok := sections[secCounts]
+	if !ok {
+		return fdxerr.Corrupt("checkpoint: missing counts section")
+	}
+	if want := 8 + countsLen(k); len(payload) != want {
+		return fdxerr.Corrupt("checkpoint: counts section is %d bytes, want %d", len(payload), want)
 	}
 	d := dec{payload}
-	st.Count = make([]int, k)
-	for s := 0; s < k; s++ {
-		c, _ := d.u64()
-		if c > 1<<62 {
-			return fdxerr.Corrupt("checkpoint: stratum %d count out of range", s)
-		}
-		st.Count[s] = int(c)
-	}
+	st.Pairs, _ = d.u64()
+	st.Sums, st.Co = d.counts(k)
 	return nil
 }
 
-func decodeSums(st *core.AccumulatorState, payload []byte) error {
-	if st == nil {
-		return fdxerr.Corrupt("checkpoint: sums section before meta")
-	}
+// decodeV1 converts a version-1 snapshot's float sections. Every stratum
+// must hold the same count, which becomes the pair count.
+func decodeV1(st *core.AccumulatorState, sections map[uint32][]byte) error {
 	k := len(st.Names)
-	if len(payload) != 8*k*k {
-		return fdxerr.Corrupt("checkpoint: sums section is %d bytes, want %d", len(payload), 8*k*k)
+	counts, ok1 := sections[secCountsV1]
+	sums, ok2 := sections[secSumsV1]
+	outer, ok3 := sections[secOuterV1]
+	if !ok1 || !ok2 || !ok3 {
+		return fdxerr.Corrupt("checkpoint: missing version-1 state sections")
 	}
-	d := dec{payload}
-	st.Sums = make([][]float64, k)
+	if len(counts) != 8*k || len(sums) != 8*k*k || len(outer) != 8*k*k*k {
+		return fdxerr.Corrupt("checkpoint: version-1 sections are %d/%d/%d bytes, want %d/%d/%d", len(counts), len(sums), len(outer), 8*k, 8*k*k, 8*k*k*k)
+	}
+	d := dec{counts}
 	for s := 0; s < k; s++ {
-		st.Sums[s] = make([]float64, k)
-		for p := 0; p < k; p++ {
-			st.Sums[s][p], _ = d.f64()
+		c, _ := d.u64()
+		if s > 0 && c != st.Pairs {
+			return fdxerr.Corrupt("checkpoint: version-1 stratum %d count %d differs from stratum 0's %d", s, c, st.Pairs)
 		}
+		st.Pairs = c
 	}
-	return nil
+	var err error
+	st.Sums, st.Co, err = fromV1(k, st.Pairs, sums, outer)
+	return err
 }
 
 // decodeRanges parses the optional batch-coverage section. A snapshot
@@ -247,9 +233,6 @@ func decodeSums(st *core.AccumulatorState, payload []byte) error {
 // sequential coverage [0, batches) — the only coverage pre-sharding
 // writers could have had.
 func decodeRanges(st *core.AccumulatorState, payload []byte) error {
-	if st == nil {
-		return fdxerr.Corrupt("checkpoint: ranges section before meta")
-	}
 	d := dec{payload}
 	n, ok := d.u32()
 	if !ok {
@@ -274,26 +257,6 @@ func decodeRanges(st *core.AccumulatorState, payload []byte) error {
 	}
 	if len(d.buf) != 0 {
 		return fdxerr.Corrupt("checkpoint: ranges section has %d trailing bytes", len(d.buf))
-	}
-	return nil
-}
-
-func decodeOuter(st *core.AccumulatorState, payload []byte) error {
-	if st == nil {
-		return fdxerr.Corrupt("checkpoint: outer section before meta")
-	}
-	k := len(st.Names)
-	if len(payload) != 8*k*k*k {
-		return fdxerr.Corrupt("checkpoint: outer section is %d bytes, want %d", len(payload), 8*k*k*k)
-	}
-	d := dec{payload}
-	st.Outer = make([]*linalg.Dense, k)
-	for s := 0; s < k; s++ {
-		data := make([]float64, k*k)
-		for i := range data {
-			data[i], _ = d.f64()
-		}
-		st.Outer[s] = linalg.NewDenseData(k, k, data)
 	}
 	return nil
 }

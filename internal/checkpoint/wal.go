@@ -1,14 +1,16 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"fdx/internal/core"
 	"fdx/internal/fdxerr"
-	"fdx/internal/linalg"
 )
 
 // WAL is an append-only log of batch deltas complementing the snapshot: a
@@ -42,17 +44,10 @@ func (w *WAL) Path() string { return w.path }
 // replay truncates it, so the failed batch is the one at risk, never
 // earlier ones.
 func (w *WAL) Append(d *core.BatchDelta) (int, error) {
-	payload, err := encodeDelta(d)
+	frame, err := encodeDelta(d)
 	if err != nil {
 		return 0, err
 	}
-	var header enc
-	header.u32(uint32(len(payload)))
-	crc := frameCRC(header.buf, payload)
-	frame := make([]byte, 0, len(header.buf)+len(payload)+4)
-	frame = append(frame, header.buf...)
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc)
 	if err := writeFull(w.f, frame); err != nil {
 		return 0, err
 	}
@@ -97,10 +92,14 @@ func ReplayWAL(path string, apply func(*core.BatchDelta) error) (applied int, to
 		return 0, false, fdxerr.Corrupt("checkpoint: open wal: %v", err)
 	}
 	defer f.Close()
-	data, err := io.ReadAll(flipReader{f})
-	if err != nil {
+	var buf bytes.Buffer
+	if info, err := f.Stat(); err == nil {
+		buf.Grow(int(info.Size()) + bytes.MinRead) // one allocation, however long the log
+	}
+	if _, err := buf.ReadFrom(flipReader{f}); err != nil {
 		return 0, false, fdxerr.Corrupt("checkpoint: read wal: %v", err)
 	}
+	data := buf.Bytes()
 
 	off := 0
 	for off < len(data) {
@@ -149,99 +148,80 @@ func ReplayWAL(path string, apply func(*core.BatchDelta) error) (applied int, to
 	return applied, torn, nil
 }
 
-// encodeDelta serializes a batch delta as a WAL record payload: seq, rows,
-// k, global, then the per-stratum sums and outer-product sums. The global
-// field postdates the original layout; decodeDelta discriminates the two
-// by payload length, so logs written before sharding still replay.
+// encodeDelta frames a batch delta as a version-2 WAL record: length,
+// then the payload — walTag, seq, rows, k, global, the counts — then the
+// CRC. A delta ReplayWAL could not read back is refused with ErrBadInput.
 func encodeDelta(d *core.BatchDelta) ([]byte, error) {
 	if d == nil {
 		return nil, fdxerr.BadInput("checkpoint: nil batch delta")
 	}
-	k := len(d.Sums)
+	k := int(math.Sqrt(float64(len(d.Sums))))
+	if k*k != len(d.Sums) || len(d.Co) != k*(k+1)/2 {
+		return nil, fdxerr.BadInput("checkpoint: delta has %d sums and %d co-occurrence counts", len(d.Sums), len(d.Co))
+	}
 	if k > maxAttrs {
-		return nil, fdxerr.BadInput("checkpoint: delta has %d strata, format limit %d", k, maxAttrs)
+		return nil, fdxerr.BadInput("checkpoint: delta has %d attributes, format limit %d", k, maxAttrs)
 	}
-	if d.Global < 0 {
-		return nil, fdxerr.BadInput("checkpoint: delta has negative global index %d", d.Global)
+	if !inRange(d.Seq) || !inRange(d.Global) || !inRange(d.Rows) {
+		return nil, fdxerr.BadInput("checkpoint: delta has seq %d, global %d, rows %d", d.Seq, d.Global, d.Rows)
 	}
-	var e enc
+	n := walHeaderLen + countsLen(k)
+	e := enc{buf: make([]byte, 0, 4+n+4)}
+	e.u32(uint32(n))
+	e.u64(walTag)
 	e.u64(uint64(d.Seq))
 	e.u64(uint64(d.Rows))
 	e.u32(uint32(k))
 	e.u64(uint64(d.Global))
-	for _, stratum := range d.Sums {
-		if len(stratum) != k {
-			return nil, fdxerr.BadInput("checkpoint: delta stratum has %d sums, want %d", len(stratum), k)
-		}
-		for _, v := range stratum {
-			e.f64(v)
-		}
-	}
-	if len(d.Outer) != k {
-		return nil, fdxerr.BadInput("checkpoint: delta has %d outer strata, want %d", len(d.Outer), k)
-	}
-	for _, m := range d.Outer {
-		if r, c := m.Dims(); r != k || c != k {
-			return nil, fdxerr.BadInput("checkpoint: delta outer is %dx%d, want %dx%d", r, c, k, k)
-		}
-		for _, v := range m.Data() {
-			e.f64(v)
-		}
-	}
+	e.counts(d.Sums, d.Co)
+	e.u32(crc32.Checksum(e.buf, castagnoli))
 	return e.buf, nil
 }
 
-// decodeDelta parses a WAL record payload. Structural failures wrap
-// ErrCorruptCheckpoint: the payload already passed its CRC, so a
-// malformed layout means the bytes never came from encodeDelta.
+// decodeDelta parses a WAL record payload: walTag and the version-2
+// layout, or version 1 (converted by fromV1). Version 1 has two layouts
+// after seq, rows, k: the original is exactly the float sums and outer
+// products; the sharded one prefixes a u64 global index, so the 8-byte
+// difference tells them apart. Records without the field predate
+// sharding, where the global index was always Seq-1. Structural failures
+// wrap ErrCorruptCheckpoint: the payload passed its CRC, so a malformed
+// layout never came from an encoder.
 func decodeDelta(payload []byte) (*core.BatchDelta, error) {
 	d := dec{payload}
+	v2 := len(payload) >= 8 && binary.LittleEndian.Uint64(payload) == walTag
+	if v2 {
+		d.u64()
+	}
 	seq, ok1 := d.u64()
 	rows, ok2 := d.u64()
 	k32, ok3 := d.u32()
 	if !ok1 || !ok2 || !ok3 {
 		return nil, fdxerr.Corrupt("checkpoint: wal record too short")
 	}
-	if k32 > maxAttrs || seq > 1<<62 || rows > 1<<62 {
+	if int(k32) > maxAttrs || seq > 1<<62 || rows > 1<<62 {
 		return nil, fdxerr.Corrupt("checkpoint: wal record fields out of range")
 	}
 	k := int(k32)
-	// Two layouts share the header: the original body is exactly the sums
-	// and outer floats; the sharded layout prefixes a u64 global index.
-	// The 8-byte difference discriminates them for any k. Records without
-	// the field predate sharding, where the global index was always the
-	// 0-based batch position Seq-1.
-	global := seq - 1
-	switch len(d.buf) {
-	case 8 * (k*k + k*k*k):
-	case 8 + 8*(k*k+k*k*k):
+	body := 8 * (k*k + k*k*k)
+	if v2 {
+		body = countsLen(k)
+	}
+	out := &core.BatchDelta{Seq: int(seq), Global: int(seq) - 1, Rows: int(rows)}
+	switch {
+	case len(d.buf) == 8+body:
 		g, _ := d.u64()
 		if g > 1<<62 {
 			return nil, fdxerr.Corrupt("checkpoint: wal record global index out of range")
 		}
-		global = g
-	default:
-		return nil, fdxerr.Corrupt("checkpoint: wal record body is %d bytes, want %d", len(d.buf), 8+8*(k*k+k*k*k))
+		out.Global = int(g)
+	case len(d.buf) != body || v2:
+		return nil, fdxerr.Corrupt("checkpoint: wal record body is %d bytes, want %d", len(d.buf), 8+body)
 	}
-	out := &core.BatchDelta{
-		Seq:    int(seq),
-		Global: int(global),
-		Rows:   int(rows),
-		Sums:   make([][]float64, k),
-		Outer:  make([]*linalg.Dense, k),
+	if v2 {
+		out.Sums, out.Co = d.counts(k)
+		return out, nil
 	}
-	for s := 0; s < k; s++ {
-		out.Sums[s] = make([]float64, k)
-		for p := 0; p < k; p++ {
-			out.Sums[s][p], _ = d.f64()
-		}
-	}
-	for s := 0; s < k; s++ {
-		data := make([]float64, k*k)
-		for i := range data {
-			data[i], _ = d.f64()
-		}
-		out.Outer[s] = linalg.NewDenseData(k, k, data)
-	}
-	return out, nil
+	var err error
+	out.Sums, out.Co, err = fromV1(k, rows, d.buf[:8*k*k], d.buf[8*k*k:])
+	return out, err
 }

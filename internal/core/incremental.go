@@ -2,12 +2,12 @@ package core
 
 import (
 	"context"
+	"fmt"
 
 	"fdx/internal/dataset"
 	"fdx/internal/fdxerr"
 	"fdx/internal/linalg"
 	"fdx/internal/obs"
-	"fdx/internal/par"
 )
 
 // Accumulator maintains the sufficient statistics of the FDX pair model
@@ -16,20 +16,30 @@ import (
 // direction the paper's related work (DynFD) motivates.
 //
 // Each batch is transformed on its own (Alg. 2 within the batch) and its
-// per-stratum first and second moments are folded into running sums; the
-// per-stratum covariances are then pooled exactly as in batch discovery.
-// Pairs never span batches, so the estimate is an approximation of the
-// full recompute that converges as batches grow; Discover on the
-// concatenation remains the reference semantics.
+// sample counts are folded into running integer sums; the per-stratum
+// covariances are then pooled exactly as in batch discovery. Pairs never
+// span batches, so the estimate is an approximation of the full recompute
+// that converges as batches grow; Discover on the concatenation remains
+// the reference semantics.
+//
+// The samples are 0/1 and every stratum holds the same number of pairs N,
+// so the pooled stratified covariance
+//
+//	(1/k)·Σ_s [C_s/N − m_s m_sᵀ] = ΣC_s/(kN) − (1/k)·Σ_s m_s m_sᵀ, m_s = S_s/N,
+//
+// needs only N, each stratum's column sums S_s and the co-occurrence
+// counts C_s summed over strata — k² + k(k+1)/2 integers, not k outer
+// products.
 type Accumulator struct {
 	names []string
 	opts  Options
 
-	// Per stratum (= per attribute): observation count, per-column sums,
-	// and the sum of outer products.
-	count []int
-	sums  [][]float64
-	outer []*linalg.Dense
+	// pairs is the pair count of every stratum; sums is k×k, row s holding
+	// stratum s's column sums; co is the packed upper triangle (triIndex)
+	// of the co-occurrence counts summed over strata.
+	pairs uint64
+	sums  []uint64
+	co    []uint64
 
 	rows    int
 	batches int
@@ -158,18 +168,12 @@ func validRanges(rs []BatchRange) bool {
 // attribute names.
 func NewAccumulator(attrNames []string, opts Options) *Accumulator {
 	k := len(attrNames)
-	a := &Accumulator{
+	return &Accumulator{
 		names: append([]string(nil), attrNames...),
 		opts:  opts,
-		count: make([]int, k),
-		sums:  make([][]float64, k),
-		outer: make([]*linalg.Dense, k),
+		sums:  make([]uint64, k*k),
+		co:    make([]uint64, k*(k+1)/2),
 	}
-	for s := 0; s < k; s++ {
-		a.sums[s] = make([]float64, k)
-		a.outer[s] = linalg.NewDense(k, k)
-	}
-	return a
 }
 
 // Rows returns the total number of tuples absorbed.
@@ -194,10 +198,11 @@ type BatchDelta struct {
 	// Rows is the batch's tuple count. Every stratum gains one pair per
 	// tuple the transform used: Rows, capped at Transform.MaxRows.
 	Rows int
-	// Sums[s] is the batch's per-stratum sum of transformed sample rows.
-	Sums [][]float64
-	// Outer[s] is the batch's per-stratum sum of outer products.
-	Outer []*linalg.Dense
+	// Sums is k×k: row s holds the batch's column sums in stratum s.
+	Sums []uint64
+	// Co is the packed upper triangle of the batch's co-occurrence counts,
+	// summed over strata: k(k+1)/2 entries, row by row.
+	Co []uint64
 }
 
 // Add transforms one batch of tuples and folds its statistics in. The
@@ -281,36 +286,9 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	if err := transformInto(context.Background(), rel, topts, pb); err != nil {
 		return nil, err
 	}
-	d := &BatchDelta{
-		Seq:    a.batches + 1,
-		Global: global,
-		Rows:   n,
-		Sums:   make([][]float64, k),
-		Outer:  make([]*linalg.Dense, k),
-	}
+	d := &BatchDelta{Seq: a.batches + 1, Global: global, Rows: n}
 	asp := h.StartStage("accumulate")
-	// Per-stratum moments of this batch alone, as popcount counts over
-	// stratum s's column bitsets. Strata are independent — stratum s owns
-	// d.Sums[s] and d.Outer[s] — so they fan out across the worker pool;
-	// results are identical at any worker count.
-	workers := a.opts.Workers
-	if workers > k {
-		workers = k
-	}
-	pool := par.New(workers)
-	pool.For(k, 1, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			csp := asp.Child("absorb.chunk")
-			csp.Attr("stratum", s)
-			sums := make([]float64, k)
-			out := linalg.NewDense(k, k)
-			pb.stratumMoments(s, sums, out)
-			d.Sums[s] = sums
-			d.Outer[s] = out
-			csp.End()
-		}
-	})
-	pool.Close()
+	d.Sums, d.Co = pb.moments(a.opts.Workers)
 	dtPool.Put(db)
 	asp.End()
 	if err := a.ApplyDelta(d); err != nil {
@@ -341,37 +319,16 @@ func (a *Accumulator) ApplyDelta(d *BatchDelta) error {
 	if d.Rows < 2 {
 		return fdxerr.BadInput("core: batch delta covers %d rows, need at least 2", d.Rows)
 	}
-	if len(d.Sums) != k || len(d.Outer) != k {
-		return fdxerr.BadInput("core: batch delta has %d/%d strata, accumulator has %d", len(d.Sums), len(d.Outer), k)
-	}
-	for s := 0; s < k; s++ {
-		if len(d.Sums[s]) != k {
-			return fdxerr.BadInput("core: batch delta stratum %d has %d sums, want %d", s, len(d.Sums[s]), k)
-		}
-		if d.Outer[s] == nil {
-			return fdxerr.BadInput("core: batch delta stratum %d has nil outer product", s)
-		}
-		if r, c := d.Outer[s].Dims(); r != k || c != k {
-			return fdxerr.BadInput("core: batch delta stratum %d outer is %dx%d, want %dx%d", s, r, c, k, k)
-		}
-	}
 	// MaxRows is part of the checkpoint fingerprint, so a replayed delta is
 	// counted under the cap its statistics were taken with.
 	pairs := d.Rows
 	if m := a.opts.Transform.MaxRows; m > 0 && pairs > m {
 		pairs = m
 	}
-	for s := 0; s < k; s++ {
-		a.count[s] += pairs
-		sums := a.sums[s]
-		for p, v := range d.Sums[s] {
-			sums[p] += v
-		}
-		dst := a.outer[s].Data()
-		for i, v := range d.Outer[s].Data() {
-			dst[i] += v
-		}
+	if err := checkCounts(k, uint64(pairs), d.Sums, d.Co); err != nil {
+		return fdxerr.BadInput("core: batch delta: %v", err)
 	}
+	a.add(uint64(pairs), d.Sums, d.Co)
 	a.rows += d.Rows
 	a.batches++
 	a.ranges = rangesInsert(a.ranges, d.Global)
@@ -385,9 +342,13 @@ type AccumulatorState struct {
 	Names   []string
 	Rows    int
 	Batches int
-	Count   []int
-	Sums    [][]float64
-	Outer   []*linalg.Dense
+	// Pairs, Sums and Co are the accumulator's counts: the pair count of
+	// every stratum, the k×k per-stratum column sums (row s = stratum s),
+	// and the packed upper triangle of the co-occurrence counts summed
+	// over strata (see BatchDelta).
+	Pairs uint64
+	Sums  []uint64
+	Co    []uint64
 	// Ranges is the batch coverage in canonical form. Nil means the state
 	// predates sharding (a version-1 snapshot without a ranges section)
 	// and defaults to the sequential coverage [0, Batches).
@@ -396,21 +357,15 @@ type AccumulatorState struct {
 
 // State returns a deep copy of the accumulator's serializable state.
 func (a *Accumulator) State() *AccumulatorState {
-	k := len(a.names)
-	st := &AccumulatorState{
+	return &AccumulatorState{
 		Names:   append([]string(nil), a.names...),
 		Rows:    a.rows,
 		Batches: a.batches,
-		Count:   append([]int(nil), a.count...),
-		Sums:    make([][]float64, k),
-		Outer:   make([]*linalg.Dense, k),
+		Pairs:   a.pairs,
+		Sums:    append([]uint64(nil), a.sums...),
+		Co:      append([]uint64(nil), a.co...),
 		Ranges:  append([]BatchRange(nil), a.ranges...),
 	}
-	for s := 0; s < k; s++ {
-		st.Sums[s] = append([]float64(nil), a.sums[s]...)
-		st.Outer[s] = a.outer[s].Clone()
-	}
-	return st
 }
 
 // Options returns a copy of the accumulator's pipeline configuration.
@@ -437,27 +392,14 @@ func NewAccumulatorFromState(st *AccumulatorState, opts Options) (*Accumulator, 
 	if rangesBatches(ranges) != st.Batches {
 		return nil, fdxerr.BadInput("core: state coverage spans %d batches, counters say %d", rangesBatches(ranges), st.Batches)
 	}
-	if len(st.Count) != k || len(st.Sums) != k || len(st.Outer) != k {
-		return nil, fdxerr.BadInput("core: state has %d/%d/%d strata, want %d", len(st.Count), len(st.Sums), len(st.Outer), k)
+	if st.Pairs > uint64(st.Rows) {
+		return nil, fdxerr.BadInput("core: state has %d pairs per stratum for %d rows", st.Pairs, st.Rows)
+	}
+	if err := checkCounts(k, st.Pairs, st.Sums, st.Co); err != nil {
+		return nil, fdxerr.BadInput("core: state: %v", err)
 	}
 	a := NewAccumulator(st.Names, opts)
-	for s := 0; s < k; s++ {
-		if st.Count[s] < 0 || st.Count[s] > st.Rows {
-			return nil, fdxerr.BadInput("core: state stratum %d count %d out of range [0, %d]", s, st.Count[s], st.Rows)
-		}
-		if len(st.Sums[s]) != k {
-			return nil, fdxerr.BadInput("core: state stratum %d has %d sums, want %d", s, len(st.Sums[s]), k)
-		}
-		if st.Outer[s] == nil {
-			return nil, fdxerr.BadInput("core: state stratum %d has nil outer product", s)
-		}
-		if r, c := st.Outer[s].Dims(); r != k || c != k {
-			return nil, fdxerr.BadInput("core: state stratum %d outer is %dx%d, want %dx%d", s, r, c, k, k)
-		}
-		a.count[s] = st.Count[s]
-		copy(a.sums[s], st.Sums[s])
-		copy(a.outer[s].Data(), st.Outer[s].Data())
-	}
+	a.add(st.Pairs, st.Sums, st.Co)
 	a.rows = st.Rows
 	a.batches = st.Batches
 	a.ranges = append([]BatchRange(nil), ranges...)
@@ -475,13 +417,12 @@ func NewAccumulatorFromState(st *AccumulatorState, opts Options) (*Accumulator, 
 //
 // A donor whose coverage this accumulator already contains entirely is a
 // duplicate delivery — Merge reports applied=false and changes nothing,
-// making shard shipping idempotent. The transform emits only 0/1 samples,
-// so every accumulated statistic is an integer-valued float64 and the
-// fold is exact: the merged state is bit-identical to absorbing the same
-// batches sequentially, in any merge order. Options fingerprints are the
-// caller's to check (the fdx root layer does) — core cannot see the
-// checkpoint fingerprint without an import cycle. The donor is never
-// modified.
+// making shard shipping idempotent. Every accumulated statistic is an
+// integer count and the fold is integer addition, so the merged state is
+// identical to absorbing the same batches sequentially, in any merge
+// order. Options fingerprints are the caller's to check (the fdx root
+// layer does) — core cannot see the checkpoint fingerprint without an
+// import cycle. The donor is never modified.
 func (a *Accumulator) Merge(other *Accumulator) (applied bool, err error) {
 	if other == nil {
 		return false, fdxerr.BadInput("core: nil merge donor")
@@ -501,18 +442,7 @@ func (a *Accumulator) Merge(other *Accumulator) (applied bool, err error) {
 	if overlap {
 		return false, fdxerr.ShardMismatch("core: merge coverage %v overlaps %v", other.ranges, a.ranges)
 	}
-	k := len(a.names)
-	for s := 0; s < k; s++ {
-		a.count[s] += other.count[s]
-		sums := a.sums[s]
-		for p, v := range other.sums[s] {
-			sums[p] += v
-		}
-		dst := a.outer[s].Data()
-		for i, v := range other.outer[s].Data() {
-			dst[i] += v
-		}
-	}
+	a.add(other.pairs, other.sums, other.co)
 	a.rows += other.rows
 	a.batches += other.batches
 	a.ranges = union
@@ -526,9 +456,9 @@ func (a *Accumulator) Covariance() (*linalg.Dense, error) {
 }
 
 // covariance is Covariance reporting under the given telemetry context,
-// so the stage span can nest under a caller's "discover" root.
-// (fdx:numeric-kernel: a stratum's count is an integer held in float64;
-// exactly zero means the stratum absorbed no rows and is skipped.)
+// so the stage span can nest under a caller's "discover" root. It
+// evaluates ΣC_s/(kN) − (1/k)·Σ_s m_s m_sᵀ (see Accumulator) with the
+// diagonal clamped at zero, as stats.CenteredMoment does.
 func (a *Accumulator) covariance(h obs.Hooks) (*linalg.Dense, error) {
 	k := len(a.names)
 	if a.rows == 0 {
@@ -538,24 +468,73 @@ func (a *Accumulator) covariance(h obs.Hooks) (*linalg.Dense, error) {
 	defer sp.End()
 	sp.Attr("dim", k)
 	sp.Attr("batches", a.batches)
-	acc := linalg.NewDense(k, k)
+	out := linalg.NewDense(k, k)
+	if a.pairs == 0 {
+		return out, nil
+	}
+	n := float64(a.pairs)
+	// means holds m_s transposed: row p is column p's mean in every
+	// stratum, so the sum over strata is one contiguous dot product.
+	means := make([]float64, k*k)
 	for s := 0; s < k; s++ {
-		n := float64(a.count[s])
-		if n == 0 {
-			continue
-		}
 		for p := 0; p < k; p++ {
-			mp := a.sums[s][p] / n
-			for q := 0; q < k; q++ {
-				mq := a.sums[s][q] / n
-				cov := a.outer[s].At(p, q)/n - mp*mq
-				acc.Add(p, q, cov)
+			means[p*k+s] = float64(a.sums[s*k+p]) / n
+		}
+	}
+	invK := 1 / float64(k)
+	for p := 0; p < k; p++ {
+		mp := means[p*k : (p+1)*k]
+		for q := p; q < k; q++ {
+			v := (float64(a.co[triIndex(k, p, q)])/n - linalg.Dot(mp, means[q*k:(q+1)*k])) * invK
+			if q == p && v < 0 {
+				v = 0
+			}
+			out.Set(p, q, v)
+			out.Set(q, p, v)
+		}
+	}
+	return out, nil
+}
+
+// add folds counts into the running sums.
+func (a *Accumulator) add(pairs uint64, sums, co []uint64) {
+	a.pairs += pairs
+	for i, v := range sums {
+		a.sums[i] += v
+	}
+	for i, v := range co {
+		a.co[i] += v
+	}
+}
+
+// checkCounts verifies the shape and the invariants of k-attribute counts
+// over pairs pairs per stratum that every absorbed batch satisfies: no
+// column sum exceeds pairs, each diagonal co-occurrence count is its
+// column's sum over strata, and no off-diagonal count exceeds either of
+// its columns' diagonal counts.
+func checkCounts(k int, pairs uint64, sums, co []uint64) error {
+	if len(sums) != k*k || len(co) != k*(k+1)/2 {
+		return fmt.Errorf("%d sums and %d co-occurrence counts, want %d and %d", len(sums), len(co), k*k, k*(k+1)/2)
+	}
+	for p := 0; p < k; p++ {
+		var total uint64
+		for s := 0; s < k; s++ {
+			v := sums[s*k+p]
+			if v > pairs {
+				return fmt.Errorf("stratum %d column %d sums to %d over %d pairs", s, p, v, pairs)
+			}
+			total += v
+		}
+		if d := co[triIndex(k, p, p)]; d != total {
+			return fmt.Errorf("column %d co-occurs with itself %d times, its sums total %d", p, d, total)
+		}
+		for q := p + 1; q < k; q++ {
+			if c := co[triIndex(k, p, q)]; c > co[triIndex(k, p, p)] || c > co[triIndex(k, q, q)] {
+				return fmt.Errorf("columns %d and %d co-occur %d times, more than either alone", p, q, c)
 			}
 		}
 	}
-	acc.Scale(1 / float64(k))
-	acc.Symmetrize()
-	return acc, nil
+	return nil
 }
 
 // Discover derives the current model from the accumulated statistics.

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"fdx/internal/dataset"
+	"fdx/internal/fdxerr"
 	"fdx/internal/linalg"
 	"fdx/internal/stats"
 )
@@ -50,7 +52,7 @@ func TestAccumulatorSingleBatchMatchesBatchCovariance(t *testing.T) {
 		}
 		dt := floatTransform(rel, topts)
 		want := stats.StratifiedCovariance(dt, rel.NumCols())
-		if d := linalg.MaxAbsDiff(got, want); d > 1e-9 {
+		if d := linalg.MaxAbsDiff(got, want); d > 1e-12 {
 			t.Errorf("MaxRows %d: single-batch covariance differs from batch estimator by %v", maxRows, d)
 		}
 	}
@@ -116,10 +118,10 @@ func TestAccumulatorMatchesFullRecomputeApproximately(t *testing.T) {
 	}
 }
 
-// TestAccumulateStratumZeroAlloc pins the absorb inner loop at zero
-// allocations per stratum: the popcount kernel works entirely in
-// caller-provided sums and outer-product buffers, so steady-state
-// absorption costs only the per-batch delta bookkeeping.
+// TestAccumulateStratumZeroAlloc pins the absorb count pass at zero
+// allocations: momentRows works entirely in caller-provided sums and
+// co-occurrence buffers, so steady-state absorption costs only the
+// per-batch delta slices.
 func TestAccumulateStratumZeroAlloc(t *testing.T) {
 	const k, sn = 8, 100
 	pb := newPairBits(sn, k, nil)
@@ -133,12 +135,62 @@ func TestAccumulateStratumZeroAlloc(t *testing.T) {
 			col[len(col)-1] &= 1<<(sn%64) - 1 // zero past the stratum's end
 		}
 	}
-	sums := make([]float64, k)
-	out := linalg.NewDense(k, k)
+	sums := make([]uint64, k*k)
+	co := make([]uint64, k*(k+1)/2)
 	allocs := testing.AllocsPerRun(10, func() {
-		pb.stratumMoments(2, sums, out)
+		pb.momentRows(0, k, sums, co)
 	})
 	if allocs != 0 {
-		t.Fatalf("stratumMoments allocates %.1f times per stratum, want 0", allocs)
+		t.Fatalf("momentRows allocates %.1f times per pass, want 0", allocs)
+	}
+}
+
+// TestAccumulatorRejectsImpossibleCounts checks that ApplyDelta and
+// NewAccumulatorFromState refuse counts no batch can produce, leaving the
+// accumulator unchanged.
+func TestAccumulatorRejectsImpossibleCounts(t *testing.T) {
+	rel := makeFDRelation(rand.New(rand.NewSource(4)), 60, 0)
+	names := rel.AttrNames()
+	src := NewAccumulator(names, Options{Seed: 2})
+	good, err := src.Absorb(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(names)
+	for _, c := range []struct {
+		name   string
+		mutate func(sums, co []uint64)
+	}{
+		{"sum above pairs", func(sums, co []uint64) { sums[k+1] = 61 }},
+		{"diagonal off total", func(sums, co []uint64) { co[triIndex(k, 1, 1)]++ }},
+		{"co above a diagonal", func(sums, co []uint64) { co[triIndex(k, 0, 1)] = co[triIndex(k, 1, 1)] + 1 }},
+		{"short co", nil},
+	} {
+		name, mutate := c.name, c.mutate
+		d := *good
+		d.Sums = append([]uint64(nil), good.Sums...)
+		d.Co = append([]uint64(nil), good.Co...)
+		if mutate == nil {
+			d.Co = d.Co[1:]
+		} else {
+			mutate(d.Sums, d.Co)
+		}
+		acc := NewAccumulator(names, Options{Seed: 2})
+		if err := acc.ApplyDelta(&d); !errors.Is(err, fdxerr.ErrBadInput) {
+			t.Errorf("%s: ApplyDelta err = %v, want ErrBadInput", name, err)
+		}
+		if acc.Rows() != 0 || acc.Batches() != 0 {
+			t.Errorf("%s: rejected delta was applied", name)
+		}
+		st := src.State()
+		st.Sums, st.Co = d.Sums, d.Co
+		if _, err := NewAccumulatorFromState(st, Options{Seed: 2}); !errors.Is(err, fdxerr.ErrBadInput) {
+			t.Errorf("%s: NewAccumulatorFromState err = %v, want ErrBadInput", name, err)
+		}
+	}
+	st := src.State()
+	st.Pairs = uint64(st.Rows) + 1
+	if _, err := NewAccumulatorFromState(st, Options{Seed: 2}); !errors.Is(err, fdxerr.ErrBadInput) {
+		t.Errorf("more pairs than rows: err = %v, want ErrBadInput", err)
 	}
 }

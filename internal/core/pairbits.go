@@ -96,32 +96,48 @@ func andCount(a, b []uint64) int {
 	return c
 }
 
-// stratumMoments writes stratum s's sufficient statistics: sums[p] is
-// column p's count of ones and outer[p][q] the co-occurrence count of
-// columns p and q, as float64 integers — exactly the values a float
-// accumulation of the stratum's 0/1 sample rows holds. Panics if sums is
-// not length k or outer not k×k.
+// triIndex returns the position of entry (a, b), a ≤ b, of a symmetric
+// k×k matrix stored as its packed upper triangle, row by row.
+func triIndex(k, a, b int) int {
+	return a*k - a*(a-1)/2 + b - a
+}
+
+// momentRows counts rows [lo, hi) of moments: for every stratum s and row
+// a it sets sums[s·k+a] to column a's ones in stratum s (which is also its
+// co-occurrence with itself) and adds the stratum's co-occurrence counts
+// of columns a and b ≥ a to co[triIndex(k, a, b)]. Panics if sums or co
+// is too short.
 //
 // fdx:zero-alloc — verified statically by the hotalloc analyzer and at
 // runtime by TestAccumulateStratumZeroAlloc.
-func (pb *PairBits) stratumMoments(s int, sums []float64, outer *linalg.Dense) {
+func (pb *PairBits) momentRows(lo, hi int, sums, co []uint64) {
 	k := pb.k
-	if r, c := outer.Dims(); r != k || c != k || len(sums) != k {
-		panic("core: stratumMoments operand shapes disagree")
-	}
-	for p := 0; p < k; p++ {
-		cp := pb.col(s, p)
-		sums[p] = float64(onesCount(cp))
-		row := outer.Row(p)
-		for q := p; q < k; q++ {
-			row[q] = float64(andCount(cp, pb.col(s, q)))
+	for s := 0; s < k; s++ {
+		for a := lo; a < hi; a++ {
+			ca := pb.col(s, a)
+			row := co[triIndex(k, a, a) : triIndex(k, a, k-1)+1]
+			d := uint64(onesCount(ca))
+			sums[s*k+a] = d
+			row[0] += d
+			for b := a + 1; b < k; b++ {
+				row[b-a] += uint64(andCount(ca, pb.col(s, b)))
+			}
 		}
 	}
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			outer.Set(q, p, outer.At(p, q))
-		}
-	}
+}
+
+// moments returns the store's counts: sums is k×k, row s holding stratum
+// s's column sums, and co the packed upper triangle (triIndex) of the
+// co-occurrence counts summed over strata. One pass fans out over row
+// chunks (workers < 2 runs serially); the counts never depend on it.
+func (pb *PairBits) moments(workers int) (sums, co []uint64) {
+	k := pb.k
+	sums = make([]uint64, k*k)
+	co = make([]uint64, k*(k+1)/2)
+	pool := par.New(workers)
+	pool.For(k, covRowChunk, func(lo, hi int) { pb.momentRows(lo, hi, sums, co) })
+	pool.Close()
+	return sums, co
 }
 
 // StratifiedCovariance is stats.StratifiedCovariance of the unpacked
@@ -137,51 +153,23 @@ func (pb *PairBits) stratumMoments(s int, sums []float64, outer *linalg.Dense) {
 // matrices are held and the result is identical at any worker count
 // (0 = GOMAXPROCS).
 func (pb *PairBits) StratifiedCovariance(workers int) *linalg.Dense {
-	return pb.covariance(pb.k <= 1, workers)
-}
-
-// Covariance is stats.Covariance of the unpacked block: all n·k pairs
-// pooled into one estimate, bit-identical to the float path. It exists for
-// the PooledCovariance ablation.
-func (pb *PairBits) Covariance(workers int) *linalg.Dense {
-	return pb.covariance(true, workers)
-}
-
-// covRowChunk is the output-row chunk of the count covariance: enough rows
-// that a stratum's columns stay cache-hot across them, few enough that the
-// triangular row costs still balance across workers. Chunking never
-// changes the result (every entry is produced by one chunk, strata in
-// fixed order).
-const covRowChunk = 8
-
-// covariance computes the stratified (or pooled) covariance from counts;
-// see StratifiedCovariance.
-func (pb *PairBits) covariance(pooled bool, workers int) *linalg.Dense {
 	n, k := pb.n, pb.k
+	if k <= 1 {
+		return pb.Covariance(workers)
+	}
 	out := linalg.NewDense(k, k)
-	if n == 0 || k == 0 {
+	if n == 0 {
 		return out
 	}
-	// Per-stratum column sums, and their pooled totals (exact integer
-	// sums in float64).
+	// Per-stratum column sums (exact integers in float64).
 	colSums := make([]float64, k*k)
-	totals := make([]float64, k)
 	for s := 0; s < k; s++ {
 		for l := 0; l < k; l++ {
-			c := float64(onesCount(pb.col(s, l)))
-			colSums[s*k+l] = c
-			totals[l] += c
+			colSums[s*k+l] = float64(onesCount(pb.col(s, l)))
 		}
 	}
 	inv := 1 / float64(n)
-	if pooled {
-		inv = 1 / float64(n*k)
-	}
-	if workers <= 0 {
-		//fdx:lint-ignore detsource worker count only; each entry is one chunk's fixed-order sum, identical at any count
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool := par.New(workers)
+	pool := par.New(resolveWorkers(workers))
 	pool.For(k, covRowChunk, func(lo, hi int) {
 		for s := 0; s < k; s++ {
 			ss := colSums[s*k : (s+1)*k]
@@ -190,28 +178,13 @@ func (pb *PairBits) covariance(pooled bool, workers int) *linalg.Dense {
 				row := out.Row(a)
 				for b := a; b < k; b++ {
 					c := float64(andCount(ca, pb.col(s, b)))
-					if pooled {
-						row[b] += c // raw co-moment, centered below
-					} else {
-						row[b] += stats.CenteredMoment(c, ss[a], ss[b], inv, b == a)
-					}
-				}
-			}
-		}
-		if pooled {
-			for a := lo; a < hi; a++ {
-				row := out.Row(a)
-				for b := a; b < k; b++ {
-					row[b] = stats.CenteredMoment(row[b], totals[a], totals[b], inv, b == a)
+					row[b] += stats.CenteredMoment(c, ss[a], ss[b], inv, b == a)
 				}
 			}
 		}
 	})
 	pool.Close()
-	scale := 1.0
-	if !pooled {
-		scale = 1 / float64(k)
-	}
+	scale := 1 / float64(k)
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ {
 			v := out.At(a, b) * scale
@@ -220,4 +193,46 @@ func (pb *PairBits) covariance(pooled bool, workers int) *linalg.Dense {
 		}
 	}
 	return out
+}
+
+// Covariance is stats.Covariance of the unpacked block: all n·k pairs
+// pooled into one estimate, from the counts of moments. Every count is an
+// exact integer in float64, so the result is bit-identical to the float
+// path. It exists for the PooledCovariance ablation.
+func (pb *PairBits) Covariance(workers int) *linalg.Dense {
+	n, k := pb.n, pb.k
+	out := linalg.NewDense(k, k)
+	if n == 0 || k == 0 {
+		return out
+	}
+	sums, co := pb.moments(resolveWorkers(workers))
+	totals := make([]float64, k)
+	for i, v := range sums {
+		totals[i%k] += float64(v)
+	}
+	inv := 1 / float64(n*k)
+	for a := 0; a < k; a++ {
+		for b := a; b < k; b++ {
+			v := stats.CenteredMoment(float64(co[triIndex(k, a, b)]), totals[a], totals[b], inv, b == a)
+			out.Set(a, b, v)
+			out.Set(b, a, v)
+		}
+	}
+	return out
+}
+
+// covRowChunk is the output-row chunk of the count passes: enough rows
+// that a stratum's columns stay cache-hot across them, few enough that the
+// triangular row costs still balance across workers. Chunking never
+// changes the result (every entry is produced by one chunk, strata in
+// fixed order).
+const covRowChunk = 8
+
+// resolveWorkers maps a worker count of 0 or less to GOMAXPROCS.
+func resolveWorkers(workers int) int {
+	if workers <= 0 {
+		//fdx:lint-ignore detsource worker count only; each entry is one chunk's fixed-order sum, identical at any count
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return workers
 }

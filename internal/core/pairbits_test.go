@@ -230,7 +230,8 @@ func TestPairBitsMatchFloatReference(t *testing.T) {
 
 // TestAbsorbDeltaMatchesFloatOracle checks every BatchDelta Absorb emits
 // against the float accumulation of the reference transform of the same
-// batch under the same seed, bit for bit.
+// batch under the same seed: each stratum's column sums, and the outer
+// products summed over strata.
 func TestAbsorbDeltaMatchesFloatOracle(t *testing.T) {
 	rel := mixedRelation(rand.New(rand.NewSource(12)), 600)
 	const batch = 130 // leaves a short final batch; neither is a multiple of 64
@@ -258,13 +259,25 @@ func TestAbsorbDeltaMatchesFloatOracle(t *testing.T) {
 				ref := referenceTransform(b, topts)
 				k := b.NumCols()
 				sn := ref.Rows() / k
+				what := fmt.Sprintf("workers=%d maxRows=%d global=%d", workers, maxRows, g)
+				co := linalg.NewDense(k, k)
 				for s := 0; s < k; s++ {
-					what := fmt.Sprintf("workers=%d maxRows=%d global=%d stratum=%d", workers, maxRows, g, s)
 					sums := make([]float64, k)
 					outer := linalg.NewDense(k, k)
 					accumulateStratum(ref, s, sn, sums, outer)
-					assertSameBits(t, what+" sums", linalg.NewDenseData(1, k, d.Sums[s]), linalg.NewDenseData(1, k, sums))
-					assertSameBits(t, what+" outer", d.Outer[s], outer)
+					linalg.Axpy(1, outer.Data(), co.Data())
+					for p, v := range sums {
+						if float64(d.Sums[s*k+p]) != v {
+							t.Fatalf("%s: stratum %d sum %d is %d, float oracle %v", what, s, p, d.Sums[s*k+p], v)
+						}
+					}
+				}
+				for p := 0; p < k; p++ {
+					for q := p; q < k; q++ {
+						if got := d.Co[triIndex(k, p, q)]; float64(got) != co.At(p, q) {
+							t.Fatalf("%s: co-occurrence (%d,%d) is %d, float oracle %v", what, p, q, got, co.At(p, q))
+						}
+					}
 				}
 			}
 		}

@@ -52,7 +52,6 @@ type EdgeFrequency struct {
 func StabilitySelection(rel *dataset.Relation, opts Options, sopts StabilityOptions) ([]FD, []EdgeFrequency, error) {
 	sopts.defaults()
 	rng := rand.New(rand.NewSource(sopts.Seed))
-	n := rel.NumRows()
 	counts := map[[2]int]int{}
 	for run := 0; run < sopts.Runs; run++ {
 		sub := subsample(rel, rng, sopts.SampleFraction)
@@ -106,11 +105,11 @@ func StabilitySelection(rel *dataset.Relation, opts Options, sopts StabilityOpti
 		}
 	}
 	SortFDs(fds)
-	_ = n
 	return fds, freqs, nil
 }
 
-// subsample draws a fraction of the rows without replacement.
+// subsample draws a fraction of the rows without replacement, kept in
+// their original order.
 func subsample(rel *dataset.Relation, rng *rand.Rand, fraction float64) *dataset.Relation {
 	n := rel.NumRows()
 	take := int(float64(n) * fraction)
@@ -119,12 +118,5 @@ func subsample(rel *dataset.Relation, rng *rand.Rand, fraction float64) *dataset
 	}
 	idx := rng.Perm(n)[:take]
 	sort.Ints(idx)
-	out := dataset.New(rel.Name, rel.AttrNames()...)
-	for j, c := range out.Columns {
-		c.Type = rel.Columns[j].Type
-	}
-	for _, i := range idx {
-		out.AppendRow(rel.Row(i))
-	}
-	return out
+	return rel.Gather(idx)
 }

@@ -352,6 +352,38 @@ func (r *Relation) Slice(lo, hi int) *Relation {
 	return out
 }
 
+// Gather returns the given rows, in order, as a new relation sharing no
+// storage with r: the same names and types, each column's codes
+// renumbered in first-appearance order over the gathered rows, and only
+// the values they use in its dictionary and numeric values. It is the
+// relation AppendRow of each gathered Row builds (an empty dictionary
+// value reads back as NULL), without turning cells back into strings.
+// Panics if a row is out of range.
+func (r *Relation) Gather(rows []int) *Relation {
+	out := &Relation{Name: r.Name}
+	for _, c := range r.Columns {
+		nc := NewColumn(c.Name, c.Type)
+		nc.codes = make([]int32, len(rows))
+		next := make([]int32, len(c.dict)) // new code + 1; 0 = not yet seen
+		for i, row := range rows {
+			code := c.codes[row]
+			if code == Missing || c.dict[code] == "" {
+				nc.codes[i] = Missing
+				continue
+			}
+			if next[code] == 0 {
+				nc.index[c.dict[code]] = int32(len(nc.dict))
+				nc.dict = append(nc.dict, c.dict[code])
+				nc.nums = append(nc.nums, c.nums[code])
+				next[code] = int32(len(nc.dict))
+			}
+			nc.codes[i] = next[code] - 1
+		}
+		out.Columns = append(out.Columns, nc)
+	}
+	return out
+}
+
 // Project returns a new relation containing only the given column indices
 // (sharing no storage with r).
 func (r *Relation) Project(cols ...int) *Relation {

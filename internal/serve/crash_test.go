@@ -2,6 +2,8 @@ package serve
 
 import (
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -121,5 +123,50 @@ func TestCrashServeRestartQuotaReseed(t *testing.T) {
 	rec, body := do(t, svB, "POST", "/v1/sessions", "acme", createRequest{ID: "s2", Attributes: testAttrs})
 	if rec.Code != http.StatusTooManyRequests || errCode(t, body) != CodeQuotaExceeded {
 		t.Fatalf("create over restored quota: status %d body %v", rec.Code, body)
+	}
+}
+
+// TestServeBootsV1DataDir boots a server over a data dir whose session
+// checkpoint and WAL a version-1 build wrote (internal/checkpoint/testdata/v1:
+// a snapshot after two batches, the WAL of four). The session must come
+// back at batch 4 with the B the library restores from the same files, and
+// a second boot over the re-checkpointed dir must give that B again.
+func TestServeBootsV1DataDir(t *testing.T) {
+	dir, libDir := t.TempDir(), t.TempDir()
+	for src, dst := range map[string]string{"stream.fdx": "s1.fdx", "stream.fdx.wal": "s1.fdx.wal"} {
+		raw, err := os.ReadFile(filepath.Join("..", "checkpoint", "testdata", "v1", src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range []string{dir, libDir} {
+			if err := os.WriteFile(filepath.Join(d, dst), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := manifest{ID: "s1", Tenant: "acme", Attributes: []string{"zip", "city", "state"}, Options: SessionOptions{Seed: 7}}
+	if err := writeManifest(filepath.Join(dir, "s1.fdx.json"), m); err != nil {
+		t.Fatal(err)
+	}
+	lib, err := fdx.LoadCheckpoint(filepath.Join(libDir, "s1.fdx"), fdx.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lib.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for boot := 0; boot < 2; boot++ {
+		sv, err := New(Config{DataDir: dir, RequestTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		rec, body := do(t, sv, "GET", "/v1/sessions/s1", "acme", nil)
+		if rec.Code != http.StatusOK || body["batches"] != float64(4) || body["rows"] != float64(48) {
+			t.Fatalf("boot %d: status %d, session %v, want 4 batches of 48 rows", boot, rec.Code, body)
+		}
+		if got := discoverB(t, sv, "s1", "acme"); !reflect.DeepEqual(got, res.B) {
+			t.Fatalf("boot %d: B %v, library restore gives %v", boot, got, res.B)
+		}
 	}
 }

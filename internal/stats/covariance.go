@@ -9,31 +9,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"fdx/internal/linalg"
 	"fdx/internal/par"
 )
-
-// vecPool recycles the per-call scratch vectors (column sums, standard
-// deviations) of the moment routines so the streaming accumulator's
-// steady state allocates only its result matrices.
-var vecPool = sync.Pool{New: func() any { return &vecBuf{} }}
-
-type vecBuf struct{ data []float64 }
-
-// getVec returns a zeroed length-k scratch vector from the pool.
-func getVec(k int) *vecBuf {
-	vb := vecPool.Get().(*vecBuf)
-	if cap(vb.data) < k {
-		vb.data = make([]float64, k)
-	}
-	vb.data = vb.data[:k]
-	for i := range vb.data {
-		vb.data[i] = 0
-	}
-	return vb
-}
 
 // Mean returns the column means of data (rows are observations).
 func Mean(data *linalg.Dense) []float64 {
@@ -51,49 +30,33 @@ func Mean(data *linalg.Dense) []float64 {
 	return mu
 }
 
-// accumulateMoments is the shared single-traversal core of Covariance and
-// SecondMoment: one pass over the rows of data, adding each row to the
-// column sums (when sums is non-nil) and each row's outer product to the
-// upper triangle of s via fused Axpy updates.
-// Panics if s is not k×k (or sums not length k) for data's column count k.
-// (fdx:numeric-kernel: the exact-zero test is a sparsity fast path over the
-// mostly-zero pair-transform samples — a zero multiplier contributes
-// nothing to the accumulation.)
-func accumulateMoments(data *linalg.Dense, sums []float64, s *linalg.Dense) {
-	n, k := data.Dims()
-	if r, c := s.Dims(); r != k || c != k || (sums != nil && len(sums) != k) {
-		panic("stats: accumulateMoments operand shapes disagree")
-	}
-	for i := 0; i < n; i++ {
-		row := data.Row(i)
-		if sums != nil {
-			linalg.Axpy(1, row, sums)
-		}
-		for a := 0; a < k; a++ {
-			va := row[a]
-			if va == 0 {
-				continue
-			}
-			linalg.Axpy(va, row[a:], s.Row(a)[a:])
-		}
-	}
-}
-
 // Covariance returns the empirical covariance matrix of data (rows are
 // observations, columns variables), normalizing by n. Sums and raw second
 // moments accumulate in a single traversal; the centering correction
 // cov = E[xy] − E[x]·E[y] is applied at the end, with the diagonal clamped
 // at zero so round-off on near-constant columns can never produce a
 // negative variance.
+// (fdx:numeric-kernel: the exact-zero test is a sparsity fast path over the
+// mostly-zero pair-transform samples — a zero multiplier contributes
+// nothing to the accumulation.)
 func Covariance(data *linalg.Dense) *linalg.Dense {
 	n, k := data.Dims()
 	s := linalg.NewDense(k, k)
 	if n == 0 {
 		return s
 	}
-	vb := getVec(k)
-	sums := vb.data
-	accumulateMoments(data, sums, s)
+	// One pass: each row joins the column sums, and its outer product the
+	// upper triangle of s, via fused Axpy updates.
+	sums := make([]float64, k)
+	for i := 0; i < n; i++ {
+		row := data.Row(i)
+		linalg.Axpy(1, row, sums)
+		for a, va := range row {
+			if va != 0 {
+				linalg.Axpy(va, row[a:], s.Row(a)[a:])
+			}
+		}
+	}
 	inv := 1 / float64(n)
 	for a := 0; a < k; a++ {
 		for b := a; b < k; b++ {
@@ -102,7 +65,6 @@ func Covariance(data *linalg.Dense) *linalg.Dense {
 			s.Set(b, a, v)
 		}
 	}
-	vecPool.Put(vb)
 	return s
 }
 
@@ -123,29 +85,6 @@ func CenteredMoment(c, sa, sb, inv float64, diag bool) float64 {
 		return 0
 	}
 	return v
-}
-
-// SecondMoment returns (1/n)·XᵀX without mean-centering. This is the
-// covariance estimator FDX applies to the tuple-pair difference samples:
-// the pair transform already yields a distribution whose relevant structure
-// is around a fixed (not estimated) center, which is what makes the
-// estimate robust to corrupted cells (paper §4.3).
-func SecondMoment(data *linalg.Dense) *linalg.Dense {
-	n, k := data.Dims()
-	s := linalg.NewDense(k, k)
-	if n == 0 {
-		return s
-	}
-	accumulateMoments(data, nil, s)
-	inv := 1 / float64(n)
-	for a := 0; a < k; a++ {
-		for b := a; b < k; b++ {
-			v := s.At(a, b) * inv
-			s.Set(a, b, v)
-			s.Set(b, a, v)
-		}
-	}
-	return s
 }
 
 // StratifiedCovariance splits the rows of data into `strata` contiguous
@@ -205,8 +144,7 @@ func Correlation(cov *linalg.Dense) *linalg.Dense {
 // sentinel; dividing by anything smaller-but-nonzero is still well defined.)
 func CorrelationInPlace(cov *linalg.Dense) *linalg.Dense {
 	k, _ := cov.Dims()
-	vb := getVec(k)
-	sd := vb.data
+	sd := make([]float64, k)
 	for i := 0; i < k; i++ {
 		sd[i] = math.Sqrt(cov.At(i, i))
 	}
@@ -223,7 +161,6 @@ func CorrelationInPlace(cov *linalg.Dense) *linalg.Dense {
 			}
 		}
 	}
-	vecPool.Put(vb)
 	return cov
 }
 

@@ -46,29 +46,6 @@ func TestCovariancePSDProperty(t *testing.T) {
 	}
 }
 
-func TestSecondMomentZeroMeanEqualsCovariance(t *testing.T) {
-	// For data symmetric around zero, SecondMoment == Covariance + mu·muᵀ.
-	rng := rand.New(rand.NewSource(1))
-	n, k := 50, 3
-	data := linalg.NewDense(n, k)
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			data.Set(i, j, rng.NormFloat64())
-		}
-	}
-	mu := Mean(data)
-	sm := SecondMoment(data)
-	cov := Covariance(data)
-	for a := 0; a < k; a++ {
-		for b := 0; b < k; b++ {
-			want := cov.At(a, b) + mu[a]*mu[b]
-			if !almostEq(sm.At(a, b), want, 1e-9) {
-				t.Fatalf("SecondMoment(%d,%d) = %v, want %v", a, b, sm.At(a, b), want)
-			}
-		}
-	}
-}
-
 func TestCorrelationBoundsAndDiag(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := linalg.NewDense(100, 4)

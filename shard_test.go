@@ -85,6 +85,34 @@ func fuzzRecipient() (*fdx.Accumulator, *fdx.Relation) {
 	return acc, rel
 }
 
+// TestMergeV1ShardSnapshot merges a shard snapshot a version-1 build
+// wrote (global batch 1 of fuzzRecipient's relation) and requires the
+// state this build reaches by merging the same shard absorbed here.
+func TestMergeV1ShardSnapshot(t *testing.T) {
+	want, rel := fuzzRecipient()
+	shard := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{})
+	if err := shard.AddAt(rel.Slice(40, 80), 1); err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := want.Merge(shard); err != nil || !applied {
+		t.Fatalf("merge: applied %v, err %v", applied, err)
+	}
+	got, _ := fuzzRecipient()
+	if applied, err := got.MergeSnapshot(bytes.NewReader(readV1Golden(t, "shard.fdx"))); err != nil || !applied {
+		t.Fatalf("merge version-1 snapshot: applied %v, err %v", applied, err)
+	}
+	var a, b bytes.Buffer
+	if err := got.Snapshot(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Snapshot(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("merging the version-1 shard snapshot gives a different state")
+	}
+}
+
 // FuzzMergeSnapshot feeds arbitrary bytes to Accumulator.MergeSnapshot.
 // The contract under test: the call never panics; it either applies a
 // valid compatible snapshot or returns an error from the checkpoint/shard
@@ -114,6 +142,9 @@ func FuzzMergeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a snapshot at all"))
 	f.Add(seed[:8]) // header only
+	// The same shard as written by a version-1 build, with its coverage
+	// section; the merge converts it.
+	f.Add(readV1Golden(f, "shard.fdx"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -1,6 +1,10 @@
 package fdx
 
-import "fdx/internal/core"
+import (
+	"fmt"
+
+	"fdx/internal/core"
+)
 
 // StabilityOptions configures DiscoverStable.
 type StabilityOptions struct {
@@ -28,8 +32,13 @@ type EdgeStability struct {
 // trading a small amount of recall for strong false-discovery control on
 // very noisy data. It returns the stable FDs and the full per-edge
 // frequency table (sorted by descending frequency).
-func DiscoverStable(rel *Relation, opts Options, sopts StabilityOptions) ([]FD, []EdgeStability, error) {
-	fds, freqs, err := core.StabilitySelection(rel, coreOptions(opts), core.StabilityOptions{
+// Like Discover, it returns ErrBadInput or ErrInternal errors, never panics.
+func DiscoverStable(rel *Relation, opts Options, sopts StabilityOptions) (fds []FD, freqs []EdgeStability, err error) {
+	defer guard("fdx: DiscoverStable", &err)
+	if verr := core.ValidateRelation(rel); verr != nil {
+		return nil, nil, fmt.Errorf("fdx: %w", verr)
+	}
+	stable, edges, err := core.StabilitySelection(rel, coreOptions(opts), core.StabilityOptions{
 		Runs:           sopts.Runs,
 		MinFrequency:   sopts.MinFrequency,
 		SampleFraction: sopts.SampleFraction,
@@ -39,15 +48,13 @@ func DiscoverStable(rel *Relation, opts Options, sopts StabilityOptions) ([]FD, 
 		return nil, nil, err
 	}
 	names := rel.AttrNames()
-	var outFDs []FD
-	for _, fd := range fds {
-		outFDs = append(outFDs, fdFromCore(fd, names))
+	for _, fd := range stable {
+		fds = append(fds, fdFromCore(fd, names))
 	}
-	var outFreqs []EdgeStability
-	for _, f := range freqs {
-		outFreqs = append(outFreqs, EdgeStability{
+	for _, f := range edges {
+		freqs = append(freqs, EdgeStability{
 			LHS: names[f.LHS], RHS: names[f.RHS], Frequency: f.Frequency,
 		})
 	}
-	return outFDs, outFreqs, nil
+	return fds, freqs, nil
 }

@@ -66,3 +66,25 @@ func TestFaultDiscoverStableRequireConvergence(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNotConverged", err)
 	}
 }
+
+// TestDiscoverStableNilRelation checks that DiscoverStable validates its
+// input as Discover does.
+func TestDiscoverStableNilRelation(t *testing.T) {
+	if _, _, err := fdx.DiscoverStable(nil, fdx.Options{}, fdx.StabilityOptions{Runs: 2}); !errors.Is(err, fdx.ErrBadInput) {
+		t.Fatalf("err = %v, want ErrBadInput", err)
+	}
+}
+
+// TestFaultDiscoverStablePanicGuard checks that an internal panic inside a
+// resampled run comes back as an ErrInternal-wrapped error, not a panic.
+func TestFaultDiscoverStablePanicGuard(t *testing.T) {
+	defer faults.Reset()
+	faults.Arm(faults.InternalPanic, faults.Config{})
+	rel := fdx.NewRelation("t", "a", "b")
+	for i := 0; i < 60; i++ {
+		rel.AppendRow([]string{fmt.Sprint(i % 5), fmt.Sprint(i % 5 * 2)})
+	}
+	if _, _, err := fdx.DiscoverStable(rel, fdx.Options{}, fdx.StabilityOptions{Runs: 2}); !errors.Is(err, fdx.ErrInternal) {
+		t.Fatalf("err = %v, want ErrInternal", err)
+	}
+}
