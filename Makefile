@@ -37,9 +37,10 @@ lint-report:
 	$(GO) run ./cmd/fdxlint -json -baseline lint-baseline.json ./... > lint-report.json
 
 # Race-detect the concurrent packages: the parallel transform and stratified
-# covariance (internal/core, internal/stats), the worker pool and parallel
-# kernels (internal/par, internal/linalg, internal/glasso), the experiment
-# harness's timed goroutines, and the root streaming API.
+# covariance (internal/core, internal/stats), the worker pool and the glasso
+# block fan-out (internal/par, internal/glasso), the SIMD vector kernels
+# (internal/linalg), the experiment harness's timed goroutines, and the
+# root streaming API.
 test-race:
 	$(GO) test -race ./internal/core ./internal/stats ./internal/par ./internal/linalg ./internal/glasso ./internal/experiments ./internal/obs ./internal/serve/... .
 
@@ -101,17 +102,16 @@ bench-flight:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Numeric-kernel speedup gates (BenchmarkGate* in internal/linalg and
-# internal/glasso): blocked matmul vs the frozen naive kernel, the Graphical
-# Lasso vs the frozen seed solver, the screened wide-schema solve vs the
-# dense one, and the block fan-out's multi-core floor. Each gate times both
-# sides interleaved and fails below its named floor constant.
+# Numeric-kernel speedup gates (BenchmarkGate* in internal/glasso): the
+# Graphical Lasso vs the frozen seed solver, the screened wide-schema solve
+# vs the dense one, and the block fan-out's multi-core floor. Each gate
+# times both sides interleaved and fails below its named floor constant.
 bench-kernels:
-	$(GO) test -run '^$$' -bench Gate -benchtime 1x ./internal/linalg ./internal/glasso
+	$(GO) test -run '^$$' -bench Gate -benchtime 1x ./internal/glasso
 
 # CI smoke variant: -short keeps the sizes whose reference side stays cheap.
 bench-kernels-short:
-	$(GO) test -short -run '^$$' -bench Gate -benchtime 1x ./internal/linalg ./internal/glasso
+	$(GO) test -short -run '^$$' -bench Gate -benchtime 1x ./internal/glasso
 
 # End-to-end benchmark correctness smoke: one short untraced run of each
 # _perfbench workload. wide and tall check their FD list and B hash

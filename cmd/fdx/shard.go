@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,7 +109,7 @@ func runShardedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 		}
 		accs = append(accs, acc)
 	}
-	merged, err := fdx.MergeShards(accs, runtime.GOMAXPROCS(0))
+	merged, err := fdx.MergeShards(accs)
 	if err != nil {
 		return nil, err
 	}

@@ -184,7 +184,7 @@ func plantedCovariance(p, blockSize int, lambda float64) *linalg.Dense {
 				g.Set(i, j, rng.NormFloat64())
 			}
 		}
-		blk := linalg.MulTo(linalg.NewDense(b, b), g.Transpose(), g)
+		blk := linalg.Mul(g.Transpose(), g)
 		blk.Scale(1 / float64(b))
 		for i := 0; i < b; i++ {
 			for j := 0; j < b; j++ {

@@ -56,47 +56,3 @@ func ScatterSym(dst *Dense, sub *Dense, idx []int) {
 		}
 	}
 }
-
-// PackSymUpper packs the upper triangle (diagonal included) of the
-// symmetric matrix s row by row into dst, which must have length
-// k·(k+1)/2: entry (i, j), i ≤ j, lands at dst[i·k − i·(i−1)/2 + (j−i)].
-// The packed form halves the memory of archived per-block precision
-// estimates; UnpackSymUpper restores the full matrix exactly.
-// Panics if dst's length disagrees with s's dimension.
-//
-// fdx:zero-alloc — verified statically by the hotalloc analyzer and at
-// runtime by the AllocsPerRun gate in gather_test.go.
-func PackSymUpper(dst []float64, s *Dense) {
-	k, _ := s.Dims()
-	if len(dst) != k*(k+1)/2 {
-		panic("linalg: PackSymUpper buffer length disagrees with matrix dimension")
-	}
-	at := 0
-	for i := 0; i < k; i++ {
-		row := s.Row(i)
-		at += copy(dst[at:], row[i:])
-	}
-}
-
-// UnpackSymUpper is the inverse of PackSymUpper: it fills the k×k matrix
-// dst from the packed upper triangle src, mirroring each off-diagonal
-// entry into the lower triangle so the result is exactly symmetric.
-// Panics if src's length disagrees with dst's dimension.
-//
-// fdx:zero-alloc — verified statically by the hotalloc analyzer and at
-// runtime by the AllocsPerRun gate in gather_test.go.
-func UnpackSymUpper(dst *Dense, src []float64) {
-	k, _ := dst.Dims()
-	if len(src) != k*(k+1)/2 {
-		panic("linalg: UnpackSymUpper buffer length disagrees with matrix dimension")
-	}
-	at := 0
-	for i := 0; i < k; i++ {
-		row := dst.Row(i)
-		n := copy(row[i:], src[at:at+(k-i)])
-		at += n
-		for j := i + 1; j < k; j++ {
-			dst.Row(j)[i] = row[j]
-		}
-	}
-}

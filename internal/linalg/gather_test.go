@@ -68,25 +68,6 @@ func TestScatterDisjointBlocksAssembleBlockDiagonal(t *testing.T) {
 	}
 }
 
-func TestPackUnpackSymUpperRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, k := range []int{0, 1, 2, 5, 12} {
-		s := randomDense(rng, k, k)
-		s.Symmetrize()
-		packed := make([]float64, k*(k+1)/2)
-		PackSymUpper(packed, s)
-		out := NewDense(k, k)
-		UnpackSymUpper(out, packed)
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
-				if out.At(i, j) != s.At(i, j) {
-					t.Fatalf("k=%d: roundtrip[%d,%d] = %v, want %v", k, i, j, out.At(i, j), s.At(i, j))
-				}
-			}
-		}
-	}
-}
-
 func TestGatherScatterPanicOnShapeMismatch(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -100,29 +81,23 @@ func TestGatherScatterPanicOnShapeMismatch(t *testing.T) {
 	s := NewDense(4, 4)
 	mustPanic("GatherSym", func() { GatherSym(NewDense(3, 3), s, []int{0, 1}) })
 	mustPanic("ScatterSym", func() { ScatterSym(s, NewDense(3, 3), []int{0, 1}) })
-	mustPanic("PackSymUpper", func() { PackSymUpper(make([]float64, 3), s) })
-	mustPanic("UnpackSymUpper", func() { UnpackSymUpper(s, make([]float64, 3)) })
 }
 
 // TestGatherScatterZeroAlloc is the runtime half of the zero-allocation
-// contract the gather/scatter/pack kernels advertise in their doc
+// contract the gather/scatter kernels advertise in their doc
 // comments.
 func TestGatherScatterZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	s := randomDense(rng, 32, 32)
-	s.Symmetrize()
 	idx := []int{2, 5, 11, 17, 23, 29}
 	sub := NewDense(len(idx), len(idx))
 	dst := NewDense(32, 32)
-	packed := make([]float64, 32*33/2)
 	kernels := []struct {
 		name string
 		f    func()
 	}{
 		{"GatherSym", func() { GatherSym(sub, s, idx) }},
 		{"ScatterSym", func() { ScatterSym(dst, sub, idx) }},
-		{"PackSymUpper", func() { PackSymUpper(packed, s) }},
-		{"UnpackSymUpper", func() { UnpackSymUpper(dst, packed) }},
 	}
 	for _, k := range kernels {
 		if allocs := testing.AllocsPerRun(20, k.f); allocs != 0 {

@@ -11,9 +11,6 @@ func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func fmaKernel4x8(k int, apack, b *float64, ldb int, c *float64, ldc int)
-
-//go:noescape
 func fmaAxpy(alpha float64, x, y *float64, n int)
 
 //go:noescape

@@ -19,79 +19,6 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaKernel4x8(k int, apack, b *float64, ldb int, c *float64, ldc int)
-//
-// C[0:4][0:8] += A[0:4][0:k] * B[0:k][0:8], with the A panel packed
-// column-major (apack[kk*4+r] = A[r][kk]), B strided by ldb elements, and
-// C strided by ldc elements. Accumulators live in Y0..Y7 for the whole k
-// loop; only the final add touches C.
-TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-48
-	MOVQ k+0(FP), CX
-	MOVQ apack+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ ldb+24(FP), R9
-	SHLQ $3, R9
-	MOVQ c+32(FP), DI
-	MOVQ ldc+40(FP), R10
-	SHLQ $3, R10
-
-	VXORPD Y0, Y0, Y0
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6
-	VXORPD Y7, Y7, Y7
-
-	TESTQ CX, CX
-	JZ    tail
-
-loop:
-	VMOVUPD (DX), Y8
-	VMOVUPD 32(DX), Y9
-	ADDQ    R9, DX
-
-	VBROADCASTSD (SI), Y10
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 8(SI), Y11
-	VFMADD231PD  Y8, Y11, Y2
-	VFMADD231PD  Y9, Y11, Y3
-	VBROADCASTSD 16(SI), Y12
-	VFMADD231PD  Y8, Y12, Y4
-	VFMADD231PD  Y9, Y12, Y5
-	VBROADCASTSD 24(SI), Y13
-	VFMADD231PD  Y8, Y13, Y6
-	VFMADD231PD  Y9, Y13, Y7
-
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  loop
-
-tail:
-	VADDPD  (DI), Y0, Y0
-	VMOVUPD Y0, (DI)
-	VADDPD  32(DI), Y1, Y1
-	VMOVUPD Y1, 32(DI)
-	ADDQ    R10, DI
-	VADDPD  (DI), Y2, Y2
-	VMOVUPD Y2, (DI)
-	VADDPD  32(DI), Y3, Y3
-	VMOVUPD Y3, 32(DI)
-	ADDQ    R10, DI
-	VADDPD  (DI), Y4, Y4
-	VMOVUPD Y4, (DI)
-	VADDPD  32(DI), Y5, Y5
-	VMOVUPD Y5, 32(DI)
-	ADDQ    R10, DI
-	VADDPD  (DI), Y6, Y6
-	VMOVUPD Y6, (DI)
-	VADDPD  32(DI), Y7, Y7
-	VMOVUPD Y7, 32(DI)
-	VZEROUPPER
-	RET
-
 // func fmaAxpy(alpha float64, x, y *float64, n int)
 // y[0:n] += alpha * x[0:n]
 TEXT ·fmaAxpy(SB), NOSPLIT, $0-32

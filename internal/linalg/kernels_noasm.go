@@ -8,11 +8,6 @@ package linalg
 
 func haveFMA() bool { return false }
 
-// fmaKernel4x8 is unreachable on this architecture. Panics if called.
-func fmaKernel4x8(k int, apack, b *float64, ldb int, c *float64, ldc int) {
-	panic("linalg: SIMD kernel called without hardware support")
-}
-
 // fmaAxpy is unreachable on this architecture. Panics if called.
 func fmaAxpy(alpha float64, x, y *float64, n int) {
 	panic("linalg: SIMD kernel called without hardware support")

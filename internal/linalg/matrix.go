@@ -87,10 +87,20 @@ func (m *Dense) Transpose() *Dense {
 	return t
 }
 
-// Mul returns a*b as a new matrix, via the blocked kernel in MulTo.
-// Panics if the inner dimensions disagree.
+// Mul returns a*b as a new matrix: the i-k-j loop, one Axpy per
+// element of a. Panics if the inner dimensions disagree.
 func Mul(a, b *Dense) *Dense {
-	return MulTo(NewDense(a.rows, b.cols), a, b)
+	if a.cols != b.rows {
+		panic(fmt.Sprintf("linalg: Mul dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
+	}
+	c := NewDense(a.rows, b.cols)
+	for i := 0; i < a.rows; i++ {
+		crow := c.Row(i)
+		for k, av := range a.Row(i) {
+			Axpy(av, b.Row(k), crow)
+		}
+	}
+	return c
 }
 
 // MulVec returns a·x as a new vector.

@@ -52,8 +52,3 @@ func PermuteSym(a *Dense, p Permutation) *Dense {
 	}
 	return out
 }
-
-// UnpermuteSym undoes PermuteSym: UnpermuteSym(PermuteSym(a,p), p) == a.
-func UnpermuteSym(a *Dense, p Permutation) *Dense {
-	return PermuteSym(a, p.Inverse())
-}

@@ -10,7 +10,7 @@
 // serial order, and any cross-chunk merge happens in fixed chunk order on
 // the caller's goroutine. Pool.For guarantees the first two properties;
 // callers that reduce across chunks index their partials by chunk number
-// and fold them in ascending order (see glasso's sweep delta).
+// and fold them in ascending order (see stats.StratifiedCovariance).
 package par
 
 import (
@@ -74,42 +74,6 @@ func (p *Pool) Close() {
 		return
 	}
 	close(p.tasks)
-}
-
-// Reduce folds n items down to item 0 through a fixed binary tree: at
-// stride s = 1, 2, 4, ... it calls merge(i, i+s) for every i divisible by
-// 2s with i+s < n, then doubles the stride. The pair set is a function of
-// n alone — never of the worker count or the scheduler — so a reduction
-// whose merge operation is order-sensitive still produces one fixed,
-// reproducible association; pairs within a level touch disjoint items and
-// run concurrently across the pool, with a barrier between levels.
-//
-// merge(dst, src) must fold item src into item dst and leave src
-// untouched for the caller. The first error (lowest dst of the earliest
-// failing level — deterministic) aborts the remaining levels and is
-// returned; merges of the failing level may still have run.
-func (p *Pool) Reduce(n int, merge func(dst, src int) error) error {
-	for stride := 1; stride < n; stride *= 2 {
-		pairs := make([]int, 0, (n+2*stride-1)/(2*stride))
-		for i := 0; i+stride < n; i += 2 * stride {
-			pairs = append(pairs, i)
-		}
-		if len(pairs) == 0 {
-			continue
-		}
-		errs := make([]error, len(pairs))
-		p.For(len(pairs), 1, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				errs[j] = merge(pairs[j], pairs[j]+stride)
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // For runs fn once per chunk of [0, n), with chunk boundaries

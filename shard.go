@@ -8,18 +8,16 @@ import (
 	"fdx/internal/faults"
 	"fdx/internal/fdxerr"
 	"fdx/internal/obs"
-	"fdx/internal/par"
 )
 
 // Sharded discovery. The accumulator's sufficient statistics are sums of
 // per-batch contributions, and the pair transform emits only 0/1 samples,
-// so every accumulated count, sum, and outer-product entry is an
-// integer-valued float64 — addition over them is exact and associative.
-// Shards can therefore absorb disjoint spans of the batch grid
-// independently and Merge back into a state bit-identical to the
-// sequential run, at any shard count and in any merge order; MergeShards
-// nevertheless folds through one fixed binary tree so even a future
-// non-integer statistic would stay reproducible.
+// so every accumulated statistic (the pair count, the per-stratum column
+// sums and the pooled co-occurrence counts) is a uint64 count — addition
+// over them is exact, associative and commutative. Shards can therefore
+// absorb disjoint spans of the batch grid independently and Merge back
+// into a state bit-identical to the sequential run, at any shard count
+// and in any merge order.
 //
 // The batch grid is global: batch i of the full stream keeps transform
 // seed Options.Seed + i no matter which shard absorbs it (AddAt), which
@@ -161,17 +159,13 @@ func (fr shardFaultReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// MergeShards folds the shard accumulators into shards[0] through a
-// fixed binary reduction tree (internal/par.Reduce): the merge order is
-// a function of the shard count alone, never of workers or scheduling,
-// so the result is reproducible run to run. The statistics themselves
-// are integer-valued (see the package comment above), so the folded
-// state is bit-identical to the sequential run regardless of order — the
-// fixed tree is belt and suspenders. Returns shards[0], which now holds
-// the union; the other entries are unchanged but share no coverage with
-// the result's, so the slice should be discarded. Any incompatibility
-// (ErrShardMismatch) or invalid entry aborts the fold.
-func MergeShards(shards []*Accumulator, workers int) (acc *Accumulator, err error) {
+// MergeShards folds shards[1:] into shards[0] in index order. The
+// statistics are integer counts (see the package comment above), so the
+// folded state is bit-identical to the sequential run. Returns shards[0],
+// which now holds the union; the other entries are unchanged but share no
+// coverage with the result's, so the slice should be discarded. Any
+// incompatibility (ErrShardMismatch) or invalid entry aborts the fold.
+func MergeShards(shards []*Accumulator) (acc *Accumulator, err error) {
 	defer guard("fdx: MergeShards", &err)
 	if len(shards) == 0 {
 		return nil, fdxerr.BadInput("fdx: no shards to merge")
@@ -181,16 +175,10 @@ func MergeShards(shards []*Accumulator, workers int) (acc *Accumulator, err erro
 			return nil, fdxerr.BadInput("fdx: shard %d is nil", i)
 		}
 	}
-	if workers > (len(shards)+1)/2 {
-		workers = (len(shards) + 1) / 2
-	}
-	pool := par.New(workers)
-	defer pool.Close()
-	if err := pool.Reduce(len(shards), func(dst, src int) error {
-		_, merr := shards[dst].Merge(shards[src])
-		return merr
-	}); err != nil {
-		return nil, err
+	for _, s := range shards[1:] {
+		if _, err := shards[0].Merge(s); err != nil {
+			return nil, err
+		}
 	}
 	return shards[0], nil
 }

@@ -34,7 +34,7 @@ func batchedBaseline(t *testing.T, rel *fdx.Relation, opts fdx.Options, batchRow
 // TestShardedDiscoverDeterministicSweep is the library-level crash-free
 // equivalence sweep: splitting the batch grid across shards ∈ {1,2,4,7}
 // and transform workers ∈ {1,4}, building each shard with AddAt on its
-// span of global batch indices, and tree-merging with MergeShards must
+// span of global batch indices, and folding with MergeShards must
 // reproduce the sequential result exactly — same FD list element-wise and
 // bit-identical B. The per-batch transform seed depends only on the global
 // batch index, so shard boundaries cannot leak into the statistics.
@@ -61,7 +61,7 @@ func TestShardedDiscoverDeterministicSweep(t *testing.T) {
 				}
 				accs = append(accs, acc)
 			}
-			merged, err := fdx.MergeShards(accs, workers)
+			merged, err := fdx.MergeShards(accs)
 			if err != nil {
 				t.Fatalf("shards=%d workers=%d: MergeShards: %v", shards, workers, err)
 			}

@@ -156,7 +156,12 @@ func LoadCheckpoint(path string, opts Options) (acc *Accumulator, err error) {
 			// the save, or the crash hit between save and reset).
 			return nil
 		case d.Seq == acc.inner.Batches()+1:
-			return acc.inner.ApplyDelta(d)
+			if err := acc.inner.ApplyDelta(d); err != nil {
+				// The record passed its checksum but does not fit the
+				// snapshot: corrupt bytes, not a caller mistake.
+				return fdxerr.Corrupt("fdx: wal record %d rejected: %v", d.Seq, err)
+			}
+			return nil
 		default:
 			return fdxerr.Corrupt("checkpoint: wal skips from batch %d to %d", acc.inner.Batches(), d.Seq)
 		}

@@ -1,12 +1,15 @@
 package fdx_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"testing"
 
 	"fdx"
+	"fdx/internal/checkpoint"
+	"fdx/internal/core"
 )
 
 func TestAccumulatorStreamedDiscovery(t *testing.T) {
@@ -117,5 +120,33 @@ func TestLoadCheckpointCountsTornTail(t *testing.T) {
 	}
 	if got := opts2.Metrics.Counter("fdx_wal_torn_tail_total").Value(); got != 0 {
 		t.Errorf("intact wal counted torn tail: %d", got)
+	}
+}
+
+// TestLoadCheckpointRejectsImpossibleWALRecordTyped: a WAL record that
+// passes its checksum but cannot follow the snapshot (here a column sum of
+// 9 over 4 pairs) is corrupt state, so LoadCheckpoint must fail with
+// ErrCorruptCheckpoint, as the same counts in a snapshot do, and not with
+// ErrBadInput.
+func TestLoadCheckpointRejectsImpossibleWALRecordTyped(t *testing.T) {
+	opts := fdx.Options{Seed: 5}
+	ckpt := t.TempDir() + "/state.fdx"
+	if err := fdx.NewAccumulator([]string{"a", "b"}, opts).SaveCheckpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	wal, err := checkpoint.OpenWAL(ckpt + fdx.WALSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &core.BatchDelta{Seq: 1, Global: 0, Rows: 4, Sums: []uint64{9, 0, 0, 0}, Co: make([]uint64, 3)}
+	if _, err := wal.Append(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = fdx.LoadCheckpoint(ckpt, opts)
+	if !errors.Is(err, fdx.ErrCorruptCheckpoint) || errors.Is(err, fdx.ErrBadInput) {
+		t.Fatalf("LoadCheckpoint = %v, want ErrCorruptCheckpoint only", err)
 	}
 }
