@@ -61,10 +61,11 @@ test-crash:
 # Service robustness suite: the race-enabled internal/serve tests (armed
 # IngestStall/QueueFull/DrainTimeout faults under concurrent tenants,
 # kill-and-resume bit-identity) plus the built-binary fdxd tests (SIGTERM
-# drain under active ingest, kill -9 restart) and the stream drain tests.
+# drain under active ingest, kill -9 restart) and the stream drain tests,
+# which start the shard supervisor's goroutines on every run.
 test-serve:
 	$(GO) test -race ./internal/serve/... ./cmd/fdxd
-	$(GO) test -run 'TestStream' ./cmd/fdx
+	$(GO) test -race -run 'TestStream' ./cmd/fdx
 
 # Sharded-discovery chaos suite under the race detector: the supervised
 # `fdx stream -shards` workers with ShardCrash/ShardStall/MergeCorrupt
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMergeSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFlightDecode -fuzztime 30s ./internal/obs/flight
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzRowsBody -fuzztime 30s -fuzzminimizetime 5s ./internal/serve
 
 # Telemetry micro-benchmarks plus the end-to-end overhead gate: a Discover

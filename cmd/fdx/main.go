@@ -12,16 +12,17 @@
 // autoregression-matrix heatmap the model is derived from.
 //
 // The stream subcommand feeds the relation through the incremental
-// Accumulator in fixed-size batches, write-ahead-logging every batch and
-// durably checkpointing every -every batches. Killed at any point — even
-// mid-write — a rerun with the same flags resumes from the checkpoint,
+// Accumulator in fixed-size batches on -shards supervised local workers
+// (default 1). Each worker is its own crash domain with its own checkpoint
+// and WAL: it write-ahead-logs every batch and durably checkpoints every
+// -every batches, and the worker states merge into the main checkpoint at
+// the end, bit-identically at any shard count. Killed at any point — even
+// mid-write — a rerun with the same flags resumes from the checkpoints,
 // re-absorbs only the unsaved batches, and produces the same dependencies
-// as an uninterrupted run. With -shards N the batch grid is split across
-// N supervised local workers, each its own crash domain with its own
-// checkpoint and WAL; the merged result is bit-identical to -shards 1.
-// With -ship URL the shard snapshots travel to an fdxd session instead
-// and discovery runs server-side; -trace then captures supervisor, worker,
-// and fdxd server spans in one file under one trace id.
+// as an uninterrupted run. With -ship URL the shard snapshots travel to an
+// fdxd session instead and discovery runs server-side; -trace then
+// captures supervisor, worker, and fdxd server spans in one file under one
+// trace id.
 //
 // The flight subcommand decodes the black-box captures that -flight-dir
 // (here and on fdxd) records: `decode` dumps samples as JSON or CSV,
@@ -41,7 +42,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"fdx"
 	"fdx/internal/core"
@@ -141,6 +141,11 @@ func runDiscover(args []string) int {
 			Ordering:  *ordering,
 			Seed:      *seed,
 			Obs:       obs.Hooks{Tracer: tel.tracer, Metrics: tel.metrics},
+			Transform: core.TransformOptions{
+				MaxRows:        *maxRows,
+				NumericTol:     *numTol,
+				TextSimilarity: *textSim,
+			},
 		}})
 		if err != nil {
 			return fail(err)
@@ -214,7 +219,7 @@ func runStream(args []string) int {
 		textSim    = fs.Bool("text-similarity", false, "use 3-gram similarity for text columns (must match across resumes)")
 		numTol     = fs.Float64("numeric-tol", 0, "relative tolerance for numeric equality (must match across resumes)")
 		batchDelay = fs.Duration("batch-delay", 0, "sleep this long after each batch (throttle for live inspection)")
-		shards     = fs.Int("shards", 1, "fan batches across N supervised local shard workers (1 = sequential); the result is bit-identical at any N")
+		shards     = fs.Int("shards", 1, "fan batches across N supervised local shard workers (1 = one worker); the result is bit-identical at any N")
 		shardTries = fs.Int("shard-retries", 3, "restarts allowed per crashed or stalled shard worker")
 		shardStall = fs.Duration("shard-stall-timeout", 0, "restart a shard worker that makes no progress for this long (0 = off)")
 		ship       = fs.String("ship", "", "ship shard snapshots to this fdxd base URL (e.g. http://127.0.0.1:8080) and discover remotely")
@@ -284,8 +289,8 @@ func runStream(args []string) int {
 		}
 	case errors.Is(err, os.ErrNotExist):
 		acc = fdx.NewAccumulator(rel.AttrNames(), opts)
-		// Write the empty-state snapshot up front so batches logged before
-		// the first periodic save are replayable rather than orphaned.
+		// Write the empty-state snapshot up front so a rerun resumes the
+		// stream under the options it was started with.
 		if err := acc.SaveCheckpoint(*ckpt); err != nil {
 			return fail(err)
 		}
@@ -304,102 +309,46 @@ func runStream(args []string) int {
 			acc.Batches(), fs.Arg(0), total, *batchRows, fdx.ErrBadInput))
 	}
 
-	if *shards > 1 || *ship != "" {
-		// Sharded mode: supervised workers absorb disjoint spans into their
-		// own checkpoints, then merge into the main one — bit-identical to
-		// the sequential loop below at any shard count. With -ship the merge
-		// happens remotely: snapshots travel to an fdxd session and
-		// discovery runs server-side.
-		cfg := shardedConfig{
-			ckpt:      *ckpt,
-			every:     *every,
-			batchRows: *batchRows,
-			shards:    *shards,
-			retries:   *shardTries,
-			stall:     *shardStall,
-			verbose:   tel.verbose,
-			obs:       tel.hooks(),
-			log:       tel.log,
-			ship:      *ship,
-			session:   *session,
-			tenant:    *tenant,
-		}
-		if *ship != "" {
-			code, err := runShippedStream(ctx, rel, opts, acc, total, cfg, tel)
-			if err != nil {
-				if draining.Load() && errors.Is(err, fdx.ErrCancelled) {
-					fmt.Fprintf(os.Stderr, "fdx: SIGTERM: shard checkpoints saved, exiting cleanly; rerun to resume\n")
-					return 0
-				}
-				return fail(err)
-			}
-			return code
-		}
-		merged, err := runShardedStream(ctx, rel, opts, acc, total, cfg)
-		if err != nil {
-			if draining.Load() && errors.Is(err, fdx.ErrCancelled) {
-				fmt.Fprintf(os.Stderr, "fdx: SIGTERM: shard checkpoints saved, exiting cleanly; rerun to resume\n")
-				return 0
-			}
-			return fail(err)
-		}
-		return finishStream(ctx, rel, merged, tel, &draining, *ckpt, *heatmap)
+	// Supervised workers absorb disjoint spans of the grid into their own
+	// checkpoints, then merge into the main one (bit-identical at any shard
+	// count). With -ship the merge happens remotely: snapshots travel to an
+	// fdxd session and discovery runs server-side.
+	cfg := shardedConfig{
+		ckpt:       *ckpt,
+		every:      *every,
+		batchRows:  *batchRows,
+		total:      total,
+		shards:     *shards,
+		retries:    *shardTries,
+		stall:      *shardStall,
+		batchDelay: *batchDelay,
+		verbose:    tel.verbose,
+		obs:        tel.hooks(),
+		log:        tel.log,
+		ship:       *ship,
+		session:    *session,
+		tenant:     *tenant,
 	}
-
-	wal, err := fdx.OpenWAL(*ckpt + fdx.WALSuffix)
+	if *ship != "" {
+		err = runShippedStream(ctx, rel, opts, acc, cfg, tel)
+	} else {
+		acc, err = runShardedStream(ctx, rel, opts, acc, cfg)
+	}
 	if err != nil {
+		if draining.Load() && errors.Is(err, fdx.ErrCancelled) {
+			fmt.Fprintf(os.Stderr, "fdx: SIGTERM: shard checkpoints saved, exiting cleanly; rerun to resume\n")
+			return 0
+		}
 		return fail(err)
 	}
-	defer wal.Close()
-
-	sinceSave := 0
-	loopStart := time.Now()
-	for i := acc.Batches(); i < total; i++ {
-		if cerr := ctx.Err(); cerr != nil {
-			if draining.Load() {
-				// Graceful drain: make everything absorbed durable and
-				// exit cleanly; the next run resumes at this exact batch.
-				if err := saveAndReset(acc, *ckpt, wal); err != nil {
-					return fail(err)
-				}
-				fmt.Fprintf(os.Stderr, "fdx: SIGTERM: checkpointed %d/%d batches to %s, exiting cleanly\n",
-					i, total, *ckpt)
-				return 0
-			}
-			return fail(fmt.Errorf("stream interrupted after %d/%d batches: %w: %w", i, total, fdx.ErrCancelled, cerr))
-		}
-		lo := i * *batchRows
-		hi := lo + *batchRows
-		if hi > rel.NumRows() {
-			hi = rel.NumRows()
-		}
-		if err := acc.AddLogged(rel.Slice(lo, hi), wal); err != nil {
-			return fail(err)
-		}
-		if tel.verbose {
-			rate := float64(tel.rowsAbsorbed()) / time.Since(loopStart).Seconds()
-			fmt.Fprintf(os.Stderr, "fdx: batch %d/%d  %d rows absorbed  %.0f rows/s  %d sweeps\n",
-				i+1, total, acc.Rows(), rate, tel.sweeps())
-		}
-		if *batchDelay > 0 {
-			time.Sleep(*batchDelay)
-		}
-		if sinceSave++; sinceSave == *every {
-			if err := saveAndReset(acc, *ckpt, wal); err != nil {
-				return fail(err)
-			}
-			sinceSave = 0
-		}
-	}
-	if err := saveAndReset(acc, *ckpt, wal); err != nil {
-		return fail(err)
+	if *ship != "" {
+		return 0
 	}
 	return finishStream(ctx, rel, acc, tel, &draining, *ckpt, *heatmap)
 }
 
-// finishStream runs discovery on the fully-absorbed accumulator and
-// prints the dependencies — the common tail of the sequential and
-// sharded stream paths.
+// finishStream runs discovery on the merged accumulator and prints the
+// dependencies.
 func finishStream(ctx context.Context, rel *fdx.Relation, acc *fdx.Accumulator, tel *telemetry, draining *atomic.Bool, ckpt string, heatmap bool) int {
 	res, err := acc.DiscoverContext(ctx)
 	if err != nil {

@@ -8,10 +8,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"fdx"
+	"fdx/internal/bayesnet"
+	"fdx/internal/dataset"
 )
 
 var (
@@ -103,6 +106,56 @@ func TestDiscoverFindsDependencies(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "zip -> city") {
 		t.Errorf("expected zip -> city in output:\n%s", stdout)
+	}
+}
+
+// TestProfileHonoursTransformFlags: -profile discovers with the same
+// transform options as a plain run, so under -max-rows its FD list equals
+// plain fdx's. Alarm at 2,000 rows is large enough that -max-rows 60
+// changes the plain FD list, so a dropped flag shows.
+func TestProfileHonoursTransformFlags(t *testing.T) {
+	net, err := bayesnet.ByName("alarm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "alarm.csv")
+	if err := dataset.SaveCSV(net.Sample(2000, 0.01, 1), path); err != nil {
+		t.Fatal(err)
+	}
+	plainFDs := func(args ...string) []string {
+		t.Helper()
+		out, stderr, code := run(t, append(args, path)...)
+		if code != 0 {
+			t.Fatalf("fdx %v: exit %d\n%s", args, code, stderr)
+		}
+		var fds []string
+		for _, line := range fdLines(out) {
+			fd, _, _ := strings.Cut(line, "   (score ")
+			fds = append(fds, fd)
+		}
+		sort.Strings(fds)
+		return fds
+	}
+	capped := plainFDs("-max-rows", "60")
+	if equalStrings(capped, plainFDs()) {
+		t.Fatal("-max-rows 60 does not change the plain FD list; the data cannot show a dropped flag")
+	}
+
+	out, stderr, code := run(t, "-profile", "-max-rows", "60", path)
+	if code != 0 {
+		t.Fatalf("fdx -profile: exit %d\n%s", code, stderr)
+	}
+	_, body, _ := strings.Cut(out, "discovered FDs:\n")
+	body, _, _ = strings.Cut(body, "\napproximate keys:")
+	var profiled []string
+	for _, line := range strings.Split(body, "\n") {
+		if line = strings.TrimSpace(line); strings.Contains(line, " -> ") {
+			profiled = append(profiled, line)
+		}
+	}
+	sort.Strings(profiled)
+	if !equalStrings(profiled, capped) {
+		t.Errorf("-profile -max-rows 60 FDs differ from plain -max-rows 60:\nprofile: %v\nplain:   %v", profiled, capped)
 	}
 }
 

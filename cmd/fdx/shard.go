@@ -19,12 +19,12 @@ import (
 
 // Sharded streaming: `fdx stream -shards N` splits the batch grid into N
 // contiguous spans and absorbs them concurrently, one supervised worker
-// per shard. Each worker is its own crash domain with its own checkpoint
-// and WAL (at <checkpoint>.shard-<s>-of-<N>); a worker that crashes or
-// stalls is restarted from that state and re-absorbs only its own
-// unsaved batches. When every span is absorbed, the shard states are
+// per shard; the default -shards 1 is a single supervised worker. Each
+// worker is its own crash domain with its own checkpoint and WAL (at
+// <checkpoint>.shard-<s>-of-<N>); a worker that crashes or stalls is
+// restarted from that state and re-absorbs only its own unsaved batches. When every span is absorbed, the shard states are
 // folded into the main checkpoint through fdx.MergeShards, whose result
-// is bit-identical to the sequential run — every batch keeps its global
+// is bit-identical at any shard count — every batch keeps its global
 // transform seed no matter which shard absorbed it.
 
 // errShardCrash is the simulated kill the ShardCrash fault injects at a
@@ -38,18 +38,20 @@ var errShardStall = errors.New("shard made no progress within the stall timeout"
 
 // shardedConfig carries runStream's supervisor knobs.
 type shardedConfig struct {
-	ckpt      string
-	every     int
-	batchRows int
-	shards    int
-	retries   int           // worker restarts / merge re-reads beyond the first attempt
-	stall     time.Duration // watchdog: restart a worker silent this long (0 = off)
-	verbose   bool
-	obs       obs.Hooks    // supervisor telemetry; runShardedStream nests it under the root span
-	log       *slog.Logger // structured supervisor events (shard_restart, shard_stall, ...)
-	ship      string       // fdxd base URL; "" keeps the merge local
-	session   string       // fdxd session id for -ship
-	tenant    string       // X-Fdx-Tenant for -ship
+	ckpt       string
+	every      int
+	batchRows  int
+	total      int // batches in the whole grid
+	shards     int
+	retries    int           // worker restarts / merge re-reads beyond the first attempt
+	stall      time.Duration // watchdog: restart a worker silent this long (0 = off)
+	batchDelay time.Duration // sleep after each batch (throttle for live inspection)
+	verbose    bool
+	obs        obs.Hooks    // supervisor telemetry; runShardedStream nests it under the root span
+	log        *slog.Logger // structured supervisor events (shard_restart, shard_stall, ...)
+	ship       string       // fdxd base URL; "" keeps the merge local
+	session    string       // fdxd session id for -ship
+	tenant     string       // X-Fdx-Tenant for -ship
 }
 
 // shardHooks returns the supervisor hooks with shard s's metric label, so
@@ -67,13 +69,17 @@ func (cfg *shardedConfig) shardPath(s int) string {
 	return fmt.Sprintf("%s.shard-%d-of-%d", cfg.ckpt, s, cfg.shards)
 }
 
-// runShardedStream absorbs the batch grid [base.NextGlobal(), total)
+// runShardedStream absorbs the batch grid [base.NextGlobal(), cfg.total)
 // through supervised shard workers, merges the shard states into base,
-// durably saves the result to cfg.ckpt, and returns it. On any error the
-// main checkpoint is untouched; shard checkpoints hold whatever their
-// workers last saved, so a rerun resumes rather than restarts.
-func runShardedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, total int, cfg shardedConfig) (*fdx.Accumulator, error) {
-	if cov := base.Coverage(); len(cov) == 1 && cov[0].Lo == 0 && cov[0].Hi == total {
+// durably saves the result to cfg.ckpt, and returns it. On any other error
+// the main checkpoint is untouched; shard checkpoints hold whatever their
+// workers last saved, so a rerun at the same -shards resumes rather than
+// restarts. A lone worker stopped by a drain or interrupt saved the
+// contiguous prefix it absorbed, so that prefix is merged into the main
+// checkpoint before the error returns, and a rerun at any -shards resumes
+// from it.
+func runShardedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, cfg shardedConfig) (*fdx.Accumulator, error) {
+	if cov := base.Coverage(); len(cov) == 1 && cov[0].Lo == 0 && cov[0].Hi == cfg.total {
 		// A previous run already merged the full grid; nothing to absorb.
 		return base, nil
 	}
@@ -85,17 +91,32 @@ func runShardedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 	cfg.obs = cfg.obs.Under(root)
 	cfg.log = supervisorLogger(cfg.log, root)
 
-	spans, err := absorbShards(ctx, rel, opts, base, total, cfg)
+	spans, err := absorbShards(ctx, rel, opts, base, cfg)
 	if err != nil {
+		if cfg.shards == 1 && errors.Is(err, fdx.ErrCancelled) {
+			if _, serr := os.Stat(cfg.shardPath(0)); serr == nil {
+				// The worker's span is [begin, total) and it stopped at g, so
+				// its state covers [begin, g): base extends to [0, g).
+				if _, merr := mergeShards(context.WithoutCancel(ctx), rel, opts, base, spans, cfg); merr != nil {
+					return nil, merr
+				}
+			}
+		}
 		return nil, err
 	}
+	return mergeShards(ctx, rel, opts, base, spans, cfg)
+}
 
-	// Phase 2: merge. Each shard snapshot is re-read from disk through the
+// mergeShards is phase 2 of the local sharded stream: fold the shard
+// checkpoints of spans into base, durably save the result to cfg.ckpt, and
+// remove the shard files. On error the main checkpoint is untouched.
+func mergeShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, spans []fdx.BatchRange, cfg shardedConfig) (*fdx.Accumulator, error) {
+	// Each shard snapshot is re-read from disk through the
 	// checkpoint decoder — fully validated before it can touch any state —
-	// and the shard accumulators fold into base through a fixed reduction
-	// tree. A snapshot that reads corrupt is retried (the file may be
-	// mid-rewrite or the corruption transient); persistent corruption
-	// surfaces the typed error with the main checkpoint unharmed.
+	// and the shard accumulators fold into base in shard order. A snapshot
+	// that reads corrupt is retried (the file may be mid-rewrite or the
+	// corruption transient); persistent corruption surfaces the typed error
+	// with the main checkpoint unharmed.
 	msp := cfg.obs.Start("merge")
 	defer msp.End()
 	accs := []*fdx.Accumulator{base}
@@ -153,13 +174,15 @@ func supervisorLogger(log *slog.Logger, root *obs.Span) *slog.Logger {
 
 // absorbShards is phase 1 of both sharded paths (local merge and -ship):
 // split the unabsorbed remainder of the batch grid into spans and run one
-// supervised worker per span, each its own crash domain. On return with a
-// nil error every span's shard checkpoint holds its full coverage.
-func absorbShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, total int, cfg shardedConfig) ([]fdx.BatchRange, error) {
-	// The main checkpoint may hold a sequential prefix [0, begin) from an
-	// earlier unsharded run or drain; shards split only the remainder.
+// supervised worker per span, each its own crash domain. It returns the
+// spans even on error. On return with a nil error every span's shard
+// checkpoint holds its full coverage.
+func absorbShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, cfg shardedConfig) ([]fdx.BatchRange, error) {
+	// The main checkpoint may hold a prefix [0, begin) absorbed before this
+	// run (e.g. through the library's AddLogged); shards split only the
+	// remainder.
 	begin := base.NextGlobal()
-	spans := fdx.ShardSpans(total-begin, cfg.shards)
+	spans := fdx.ShardSpans(cfg.total-begin, cfg.shards)
 	for i := range spans {
 		spans[i].Lo += begin
 		spans[i].Hi += begin
@@ -184,7 +207,7 @@ func absorbShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base
 		if err != nil {
 			// Workers past the failure saved their own checkpoints; report
 			// the lowest-index failure deterministically.
-			return nil, err
+			return spans, err
 		}
 	}
 	return spans, nil
@@ -289,9 +312,9 @@ func watchShard(ctx context.Context, cancel context.CancelFunc, progress *atomic
 
 // runShardWorker absorbs one span of the batch grid into the shard's own
 // checkpoint state, write-ahead-logging every batch and durably
-// snapshotting every cfg.every batches — the same crash contract as the
-// sequential stream, scoped to the span. A restart resumes at the
-// shard's own NextGlobal.
+// snapshotting every cfg.every batches, scoped to the span. A restart
+// resumes at the shard's own NextGlobal. With cfg.verbose every batch
+// prints a progress line.
 func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, span fdx.BatchRange, path string, cfg shardedConfig, progress *atomic.Int64) error {
 	acc, err := fdx.LoadCheckpoint(path, opts)
 	switch {
@@ -330,6 +353,7 @@ func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, sp
 		start = span.Lo
 	}
 	sinceSave := 0
+	loopStart, startRows := time.Now(), acc.Rows()
 	for g := start; g < span.Hi; g++ {
 		if cerr := ctx.Err(); cerr != nil {
 			// Drain, interrupt, or stall watchdog: make what we absorbed
@@ -349,6 +373,14 @@ func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, sp
 			return err
 		}
 		progress.Add(1)
+		if cfg.verbose {
+			rate := float64(acc.Rows()-startRows) / time.Since(loopStart).Seconds()
+			fmt.Fprintf(os.Stderr, "fdx: batch %d/%d  %d rows absorbed  %.0f rows/s\n",
+				g+1, cfg.total, acc.Rows(), rate)
+		}
+		if cfg.batchDelay > 0 {
+			time.Sleep(cfg.batchDelay)
+		}
 		if sinceSave++; sinceSave == cfg.every {
 			// Checkpoint boundary: the crash fault kills the worker here,
 			// leaving up to cfg.every batches only in the WAL — exactly what

@@ -17,9 +17,9 @@ import (
 // The shard chaos suite drives the supervised sharded stream in-process
 // (so faults can be armed around it) and pins the crash-equivalence
 // contract: with crashes, stalls, and corrupt snapshots injected, every
-// sharded run either completes bit-identical to the uninterrupted
-// 1-shard run or fails with a taxonomy-typed error — never a wrong
-// answer. Faults are process-global, so these tests do not run parallel
+// sharded run either completes bit-identical to an uninterrupted
+// sequential absorb (referenceFDs) or fails with a taxonomy-typed error —
+// never a wrong answer. Faults are process-global, so these tests do not run parallel
 // to each other.
 
 // streamArgs builds a stream invocation against the shared test CSV.
@@ -55,18 +55,33 @@ func runStreamInProcess(t *testing.T, args []string) (string, int) {
 	return sb.String(), code
 }
 
-// referenceFDs runs the uninterrupted 1-shard stream once per test and
-// returns its dependency lines (the bit-identity baseline: identical B
-// would print identical scores).
-func referenceFDs(t *testing.T) []string {
+// referenceFDs absorbs the test CSV through the library, one
+// Accumulator.Add per batch of batchRows rows, discovers, and returns the
+// dependency lines in the CLI's format (identical B prints identical
+// scores). It never runs the stream command, so it is an independent
+// sequential baseline for every CLI stream run.
+func referenceFDs(t *testing.T, batchRows int) []string {
 	t.Helper()
-	out, code := runStreamInProcess(t, streamArgs(filepath.Join(t.TempDir(), "ref.fdx")))
-	if code != 0 {
-		t.Fatalf("reference 1-shard run: exit %d\n%s", code, out)
+	rel, err := fdx.LoadCSV(csvPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fds := fdLines(out)
+	acc := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{})
+	for lo := 0; lo < rel.NumRows(); lo += batchRows {
+		if err := acc.Add(rel.Slice(lo, min(lo+batchRows, rel.NumRows()))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := acc.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fds []string
+	for _, fd := range res.FDs {
+		fds = append(fds, strings.TrimSpace(fmt.Sprintf("%s   (score %.3f)", fd, fd.Score)))
+	}
 	if len(fds) == 0 {
-		t.Fatalf("reference run found no dependencies:\n%s", out)
+		t.Fatal("reference absorb found no dependencies")
 	}
 	return fds
 }
@@ -74,7 +89,7 @@ func referenceFDs(t *testing.T) []string {
 // TestShardedStreamMatchesSequential pins the clean-path equivalence at
 // several shard counts.
 func TestShardedStreamMatchesSequential(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	for _, shards := range []int{2, 4, 8} {
 		ckpt := filepath.Join(t.TempDir(), "state.fdx")
 		out, code := runStreamInProcess(t, streamArgs(ckpt, "-shards", fmt.Sprint(shards)))
@@ -92,7 +107,7 @@ func TestShardedStreamMatchesSequential(t *testing.T) {
 // must restart each from its own WAL/checkpoint and the merged result
 // must match the uninterrupted run exactly.
 func TestShardedStreamSurvivesCrashes(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	for _, shards := range []int{2, 4, 8} {
 		func() {
 			defer faults.Reset()
@@ -118,7 +133,7 @@ func TestShardedStreamSurvivesCrashes(t *testing.T) {
 // answer or a corrupted main checkpoint — a follow-up clean run against
 // the same checkpoint must still produce the reference dependencies.
 func TestShardedStreamCrashEveryBoundary(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	ckpt := filepath.Join(t.TempDir(), "state.fdx")
 	func() {
 		defer faults.Reset()
@@ -140,7 +155,7 @@ func TestShardedStreamCrashEveryBoundary(t *testing.T) {
 // TestShardedStreamSurvivesStalls stalls shard workers long enough for
 // the watchdog to cancel and restart them; the result must still match.
 func TestShardedStreamSurvivesStalls(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	defer faults.Reset()
 	faults.Arm(faults.ShardStall, faults.Config{Times: 2, Delay: 500 * time.Millisecond})
 	ckpt := filepath.Join(t.TempDir(), "state.fdx")
@@ -158,7 +173,7 @@ func TestShardedStreamSurvivesStalls(t *testing.T) {
 // snapshots as they are read for merging; the merge phase must re-read
 // and still produce the exact sequential result.
 func TestShardedStreamSurvivesMergeCorruption(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	defer faults.Reset()
 	faults.Arm(faults.MergeCorrupt, faults.Config{Times: 2})
 	ckpt := filepath.Join(t.TempDir(), "state.fdx")
@@ -189,7 +204,7 @@ func TestShardedStreamPersistentCorruptionFailsTyped(t *testing.T) {
 // sharded run that must resume the shard checkpoints rather than start
 // over, and a third run that must find the merged grid complete.
 func TestShardedStreamResumesAcrossRuns(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	ckpt := filepath.Join(t.TempDir(), "state.fdx")
 	func() {
 		defer faults.Reset()
@@ -221,7 +236,7 @@ func TestShardedStreamResumesAcrossRuns(t *testing.T) {
 // TestShardedStreamMoreShardsThanBatches covers empty spans: the grid
 // has 12 batches at -batch 50, so 16 shards leave some workers idle.
 func TestShardedStreamMoreShardsThanBatches(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	ckpt := filepath.Join(t.TempDir(), "state.fdx")
 	out, code := runStreamInProcess(t, streamArgs(ckpt, "-shards", "16"))
 	if code != 0 {
@@ -237,7 +252,7 @@ func TestShardedStreamMoreShardsThanBatches(t *testing.T) {
 // must split only the remaining batches and merge cleanly onto the
 // prefix.
 func TestShardedStreamAfterSequentialPrefix(t *testing.T) {
-	want := referenceFDs(t)
+	want := referenceFDs(t, 50)
 	rel, err := fdx.LoadCSV(csvPath)
 	if err != nil {
 		t.Fatal(err)

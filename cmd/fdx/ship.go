@@ -26,9 +26,8 @@ import (
 
 // runShippedStream is the -ship analogue of runShardedStream +
 // finishStream: absorb locally, merge and discover remotely, print the
-// dependencies. The returned int is the process exit code when err is
-// nil; the caller maps a non-nil err through the exit-code taxonomy.
-func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, total int, cfg shardedConfig, tel *telemetry) (int, error) {
+// dependencies.
+func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, cfg shardedConfig, tel *telemetry) error {
 	root := cfg.obs.Start("stream")
 	defer root.End()
 	root.Attr("shards", cfg.shards)
@@ -37,9 +36,9 @@ func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 	cfg.obs = cfg.obs.Under(root)
 	cfg.log = supervisorLogger(cfg.log, root)
 
-	spans, err := absorbShards(ctx, rel, opts, base, total, cfg)
+	spans, err := absorbShards(ctx, rel, opts, base, cfg)
 	if err != nil {
-		return 0, err
+		return err
 	}
 
 	client := &serve.ShardClient{
@@ -50,21 +49,20 @@ func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 		Obs:            cfg.obs,
 	}
 	if err := client.CreateSession(ctx, cfg.session, rel.AttrNames(), wireOptions(opts)); err != nil {
-		return 0, fmt.Errorf("creating session %q on %s: %w", cfg.session, cfg.ship, err)
+		return fmt.Errorf("creating session %q on %s: %w", cfg.session, cfg.ship, err)
 	}
 
 	// Sequence numbers are a pure function of the shard layout, so a rerun
 	// re-ships the same seqs and the server acks them as duplicates: the
-	// main checkpoint's sequential prefix (if any) is seq 1, shard s is
-	// seq s+2.
+	// main checkpoint's prefix (if any) is seq 1, shard s is seq s+2.
 	if base.Batches() > 0 {
 		var buf bytes.Buffer
 		if err := base.Snapshot(&buf); err != nil {
-			return 0, err
+			return err
 		}
 		applied, err := client.ShipShard(ctx, cfg.session, 1, buf.Bytes())
 		if err != nil {
-			return 0, fmt.Errorf("shipping checkpoint prefix: %w", err)
+			return fmt.Errorf("shipping checkpoint prefix: %w", err)
 		}
 		cfg.log.Info("prefix_shipped", "seq", 1, "batches", base.Batches(), "applied", applied)
 	}
@@ -74,11 +72,11 @@ func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 		}
 		snap, err := os.ReadFile(cfg.shardPath(s))
 		if err != nil {
-			return 0, fmt.Errorf("reading shard %d snapshot: %w: %w", s, err, fdx.ErrBadInput)
+			return fmt.Errorf("reading shard %d snapshot: %w: %w", s, err, fdx.ErrBadInput)
 		}
 		applied, err := client.ShipShard(ctx, cfg.session, s+2, snap)
 		if err != nil {
-			return 0, fmt.Errorf("shipping shard %d: %w", s, err)
+			return fmt.Errorf("shipping shard %d: %w", s, err)
 		}
 		cfg.shardHooks(s).Count(obs.MShardShipped, 1)
 		cfg.log.Info("shard_shipped", "shard", s, "seq", s+2, "bytes", len(snap), "applied", applied)
@@ -89,17 +87,14 @@ func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 
 	resp, err := client.Discover(ctx, cfg.session)
 	if err != nil {
-		return 0, fmt.Errorf("remote discover: %w", err)
+		return fmt.Errorf("remote discover: %w", err)
 	}
 	fmt.Printf("%s: %d rows in %d batches, %d attributes, %d FDs (remote %s session %s)\n\n",
 		rel.Name, resp.Rows, resp.Batches, len(resp.Attributes), len(resp.FDs), cfg.ship, cfg.session)
 	for _, fd := range resp.FDs {
 		fmt.Printf("%s -> %s   (score %.3f)\n", strings.Join(fd.LHS, ","), fd.RHS, fd.Score)
 	}
-	if err := tel.finish(); err != nil {
-		return 0, err
-	}
-	return 0, nil
+	return tel.finish()
 }
 
 // wireOptions maps the stream's discovery options onto the session wire

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -47,11 +49,12 @@ func signalStream(t *testing.T, ckpt string, sig os.Signal, delay time.Duration)
 	return stdout.String(), stderr.String(), code
 }
 
-// TestStreamSIGTERMDrainsCleanly: SIGTERM mid-stream checkpoints the
-// absorbed prefix and exits 0; a rerun resumes from that checkpoint and
-// produces the same dependencies as an uninterrupted run.
-func TestStreamSIGTERMDrainsCleanly(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "state.fdx")
+// drainStream SIGTERMs a default (one-worker) stream run partway and checks
+// the drain: exit 0 with the clean-drain notice, the absorbed prefix [0, g)
+// folded into the main checkpoint with g > 0, an empty main WAL, and no
+// shard scratch files left behind. It returns g and the batch total.
+func drainStream(t *testing.T, ckpt string) (int, int) {
+	t.Helper()
 	_, stderr, code := signalStream(t, ckpt, syscall.SIGTERM, 200*time.Millisecond)
 	if code != 0 {
 		t.Fatalf("SIGTERM drain: exit %d, want 0; stderr:\n%s", code, stderr)
@@ -59,24 +62,87 @@ func TestStreamSIGTERMDrainsCleanly(t *testing.T) {
 	if !strings.Contains(stderr, "SIGTERM") || !strings.Contains(stderr, "exiting cleanly") {
 		t.Errorf("drain did not announce itself; stderr:\n%s", stderr)
 	}
-	// The drain checkpointed: the WAL is reset and the rerun resumes.
+	for _, p := range []string{ckpt + ".shard-0-of-1", ckpt + ".shard-0-of-1" + fdx.WALSuffix} {
+		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("drain left %s behind (stat: %v)", filepath.Base(p), err)
+		}
+	}
 	if fi, err := os.Stat(ckpt + fdx.WALSuffix); err == nil && fi.Size() != 0 {
 		t.Errorf("post-drain WAL holds %d bytes, want 0", fi.Size())
 	}
-	resumed, stderr2, code := run(t, "stream", "-checkpoint", ckpt, "-batch", "20", "-every", "1000", csvPath)
+	acc, err := fdx.LoadCheckpoint(ckpt, fdx.Options{})
+	if err != nil {
+		t.Fatalf("loading the drained checkpoint: %v", err)
+	}
+	cov := acc.Coverage()
+	if len(cov) != 1 || cov[0].Lo != 0 || cov[0].Hi == 0 {
+		t.Fatalf("drained checkpoint covers %v, want one absorbed prefix [0, g) with g > 0", cov)
+	}
+	rel, err := fdx.LoadCSV(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cov[0].Hi, (rel.NumRows() + 19) / 20
+}
+
+// batchLines returns the -v per-batch progress lines of a stream run.
+func batchLines(stderr string) []string {
+	var lines []string
+	for _, line := range strings.Split(stderr, "\n") {
+		if strings.HasPrefix(line, "fdx: batch ") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestStreamSIGTERMDrainsCleanly: SIGTERM mid-stream checkpoints the
+// absorbed prefix and exits 0; a rerun resumes from that checkpoint,
+// absorbs only the remaining batches, and produces the same dependencies
+// as an uninterrupted absorb.
+func TestStreamSIGTERMDrainsCleanly(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "state.fdx")
+	g, total := drainStream(t, ckpt)
+	resumed, stderr, code := run(t, "stream", "-v", "-checkpoint", ckpt, "-batch", "20", "-every", "1000", csvPath)
 	if code != 0 {
-		t.Fatalf("rerun after drain: exit %d\n%s", code, stderr2)
+		t.Fatalf("rerun after drain: exit %d\n%s", code, stderr)
 	}
-	if !strings.Contains(stderr2, "resuming from") {
-		t.Errorf("rerun did not resume from the drain checkpoint; stderr:\n%s", stderr2)
+	if want := fmt.Sprintf("resuming from %s: %d batches", ckpt, g); !strings.Contains(stderr, want) {
+		t.Errorf("rerun did not resume from the drain checkpoint (want %q); stderr:\n%s", want, stderr)
 	}
-	fresh, _, code := run(t, "stream", "-checkpoint", filepath.Join(t.TempDir(), "ref.fdx"),
+	lines := batchLines(stderr)
+	if len(lines) != total-g || (len(lines) > 0 && !strings.HasPrefix(lines[0], fmt.Sprintf("fdx: batch %d/%d ", g+1, total))) {
+		t.Errorf("rerun absorbed %d batches, want the remaining %d starting at batch %d; lines:\n%s",
+			len(lines), total-g, g+1, strings.Join(lines, "\n"))
+	}
+	if a, b := referenceFDs(t, 20), fdLines(resumed); !equalStrings(a, b) {
+		t.Errorf("dependencies after drained resume differ:\nreference: %v\nresumed:   %v", a, b)
+	}
+}
+
+// TestStreamDrainResumesAtAnyShardCount: a prefix drained at the default
+// one worker lives in the main checkpoint, so a rerun with -shards 4
+// splits only the remaining batches instead of re-absorbing the grid.
+func TestStreamDrainResumesAtAnyShardCount(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "state.fdx")
+	g, total := drainStream(t, ckpt)
+	resumed, stderr, code := run(t, "stream", "-v", "-shards", "4", "-checkpoint", ckpt,
 		"-batch", "20", "-every", "1000", csvPath)
 	if code != 0 {
-		t.Fatalf("reference run: exit %d", code)
+		t.Fatalf("-shards 4 rerun after drain: exit %d\n%s", code, stderr)
 	}
-	if a, b := fdLines(fresh), fdLines(resumed); !equalStrings(a, b) {
-		t.Errorf("dependencies after drained resume differ:\nfresh:   %v\nresumed: %v", a, b)
+	lines := batchLines(stderr)
+	if len(lines) != total-g {
+		t.Errorf("-shards 4 rerun absorbed %d batches, want the remaining %d; lines:\n%s",
+			len(lines), total-g, strings.Join(lines, "\n"))
+	}
+	for b := 1; b <= g; b++ {
+		if strings.Contains(stderr, fmt.Sprintf("fdx: batch %d/%d ", b, total)) {
+			t.Errorf("-shards 4 rerun re-absorbed drained batch %d", b)
+		}
+	}
+	if a, b := referenceFDs(t, 20), fdLines(resumed); !equalStrings(a, b) {
+		t.Errorf("dependencies after drained -shards 4 resume differ:\nreference: %v\nresumed:   %v", a, b)
 	}
 }
 

@@ -152,8 +152,5 @@ func (t *telemetry) counter(name string) uint64 {
 // sweeps returns the cumulative glasso sweep count.
 func (t *telemetry) sweeps() uint64 { return t.counter(obs.MGlassoSweeps) }
 
-// rowsAbsorbed returns the cumulative absorbed-row count.
-func (t *telemetry) rowsAbsorbed() uint64 { return t.counter(obs.MRowsAbsorbed) }
-
 // tornTails returns how many torn WAL tail records restores truncated.
 func (t *telemetry) tornTails() uint64 { return t.counter(obs.MWALTornTail) }

@@ -208,9 +208,8 @@ func resultOf(m *core.Model, names []string) *fdx.Result {
 // agree bit for bit. Only Seed, Lambda and Workers carry over from opts.
 func floatReference(t *testing.T, rel *fdx.Relation, opts fdx.Options) *fdx.Result {
 	t.Helper()
-	copts := core.Options{Lambda: opts.Lambda, Seed: opts.Seed, Workers: opts.Workers,
-		Transform: core.TransformOptions{Seed: opts.Seed, Workers: opts.Workers}}
-	dt, err := core.TransformContext(context.Background(), rel, copts.Transform)
+	copts := core.Options{Lambda: opts.Lambda, Seed: opts.Seed, Workers: opts.Workers}
+	dt, err := core.TransformContext(context.Background(), rel, copts.ResolvedTransform())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,12 +192,9 @@ func coreOptions(opts Options) core.Options {
 		RequireConvergence: opts.RequireConvergence,
 		Obs:                obs.Hooks{Tracer: opts.Tracer, Metrics: opts.Metrics, Labels: opts.MetricLabels},
 		Transform: core.TransformOptions{
-			Seed:           opts.Seed,
 			MaxRows:        opts.MaxRows,
 			NumericTol:     opts.NumericTolerance,
 			TextSimilarity: opts.TextSimilarity,
-			Workers:        opts.Workers,
-			Obs:            obs.Hooks{Tracer: opts.Tracer, Metrics: opts.Metrics, Labels: opts.MetricLabels},
 		},
 	}
 }
@@ -227,11 +224,10 @@ func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (res *Res
 	run := copts.Obs.Start("discover")
 	defer run.End()
 	copts.Obs = copts.Obs.Under(run)
-	copts.Transform.Obs = copts.Obs
 	copts.Obs.Count(obs.MDiscoverRuns, 1)
 	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
 	t0 := time.Now()
-	samples, err := core.TransformBitsContext(ctx, rel, copts.Transform)
+	samples, err := core.TransformBitsContext(ctx, rel, copts.ResolvedTransform())
 	if err != nil {
 		return nil, fmt.Errorf("fdx: %w", err)
 	}

@@ -150,30 +150,6 @@ func Build(rel *dataset.Relation, fd core.FD, opts Options) *Tableau {
 	return t
 }
 
-// CleanPatterns returns the patterns holding exactly (confidence 1).
-func (t *Tableau) CleanPatterns() []Pattern {
-	var out []Pattern
-	for _, p := range t.Patterns {
-		//fdx:lint-ignore floatcmp confidence is a count ratio; it is exactly 1 iff the pattern holds on every supporting tuple
-		if p.Confidence == 1 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// DirtyPatterns returns the patterns with violations, most-violated first.
-func (t *Tableau) DirtyPatterns() []Pattern {
-	var out []Pattern
-	for _, p := range t.Patterns {
-		if p.Confidence < 1 {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Confidence < out[j].Confidence })
-	return out
-}
-
 // Format renders the tableau with attribute names.
 func (t *Tableau) Format(names []string) string {
 	var sb strings.Builder

@@ -27,8 +27,13 @@ func TestBuildCleanFD(t *testing.T) {
 	if tab.GlobalConfidence != 1 {
 		t.Errorf("clean FD global confidence = %v", tab.GlobalConfidence)
 	}
-	if len(tab.Patterns) != 2 || len(tab.CleanPatterns()) != 2 || len(tab.DirtyPatterns()) != 0 {
+	if len(tab.Patterns) != 2 {
 		t.Errorf("patterns = %v", tab.Patterns)
+	}
+	for _, p := range tab.Patterns {
+		if p.Confidence != 1 {
+			t.Errorf("clean FD has a dirty pattern %+v", p)
+		}
 	}
 	if tab.Patterns[0].Support != 2 || tab.Patterns[0].Confidence != 1 {
 		t.Errorf("pattern = %+v", tab.Patterns[0])
@@ -41,15 +46,16 @@ func TestBuildSplitsCleanAndDirty(t *testing.T) {
 		{"b", "y"}, {"b", "z"}, {"b", "y"}, // dirty subdomain
 	}, "k", "v")
 	tab := Build(rel, core.FD{LHS: []int{0}, RHS: 1}, Options{})
-	clean, dirty := tab.CleanPatterns(), tab.DirtyPatterns()
-	if len(clean) != 1 || clean[0].LHSValues[0] != "a" {
-		t.Errorf("clean = %v", clean)
+	// Equal support, so the patterns order by LHS value: clean "a", dirty "b".
+	if len(tab.Patterns) != 2 {
+		t.Fatalf("patterns = %v", tab.Patterns)
 	}
-	if len(dirty) != 1 || dirty[0].LHSValues[0] != "b" {
-		t.Errorf("dirty = %v", dirty)
+	clean, dirty := tab.Patterns[0], tab.Patterns[1]
+	if clean.LHSValues[0] != "a" || clean.Confidence != 1 {
+		t.Errorf("clean pattern = %+v", clean)
 	}
-	if dirty[0].Confidence != 2.0/3 || dirty[0].RHSValue != "y" {
-		t.Errorf("dirty pattern = %+v", dirty[0])
+	if dirty.LHSValues[0] != "b" || dirty.Confidence != 2.0/3 || dirty.RHSValue != "y" {
+		t.Errorf("dirty pattern = %+v", dirty)
 	}
 	want := (3.0*1 + 3.0*(2.0/3)) / 6.0
 	if diff := tab.GlobalConfidence - want; diff > 1e-12 || diff < -1e-12 {

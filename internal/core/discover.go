@@ -53,13 +53,13 @@ type Options struct {
 	// ErrNotConverged failure. By default such an estimate is accepted as
 	// a degraded result with Diagnostics.GlassoConverged == false.
 	RequireConvergence bool
-	// Workers sets the number of goroutines used by the numeric stages:
-	// the Graphical Lasso screened-block fan-out and regularization
-	// paths, and the accumulator's per-stratum moment accumulation (0 or
-	// 1 = serial). Results are bit-for-bit identical at any worker count;
-	// see internal/par for the chunking contract that guarantees it. The
-	// fan-out of the pair transform and of the count covariance over its
-	// bit store is configured separately via Transform.Workers.
+	// Workers sets the number of goroutines in the pair transform and the
+	// count covariance over its bit store (0 = GOMAXPROCS, 1 = serial;
+	// the transform inherits it, see ResolvedTransform) and in the numeric
+	// stages — the Graphical Lasso screened-block fan-out and regularization
+	// paths, and the accumulator's per-stratum moments (there 0 also means
+	// serial). Results are bit-for-bit identical at any worker count; see
+	// internal/par for the chunking contract that guarantees it.
 	Workers int
 	// Seed drives the transform shuffle.
 	Seed int64
@@ -92,10 +92,18 @@ func (o *Options) defaults() {
 	if o.Ordering == "" {
 		o.Ordering = ordering.Heuristic
 	}
-	o.Transform.Seed = o.Seed
-	// The transform inherits the pipeline's telemetry sinks; it never has
-	// independently configured ones.
-	o.Transform.Obs = o.Obs
+}
+
+// ResolvedTransform returns the pair-transform options the pipeline runs
+// with: Transform plus the Seed, Workers and telemetry sinks it inherits
+// from o (it never has independently configured ones). A caller that runs
+// the transform itself takes its options from here.
+func (o Options) ResolvedTransform() TransformOptions {
+	t := o.Transform
+	t.Seed = o.Seed
+	t.Workers = o.Workers
+	t.Obs = o.Obs
+	return t
 }
 
 // Model is the fitted FDX model: the estimated precision matrix, the
@@ -163,13 +171,12 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 	run := opts.Obs.Start("discover")
 	defer run.End()
 	opts.Obs = opts.Obs.Under(run)
-	opts.Transform.Obs = opts.Obs
 	opts.Obs.Count(obs.MDiscoverRuns, 1)
 	k := rel.NumCols()
 	if k == 0 {
 		return &Model{Theta: linalg.NewDense(0, 0), B: linalg.NewDense(0, 0), Diagnostics: Diagnostics{GlassoConverged: true}, Trace: run}, nil
 	}
-	pb, err := TransformBitsContext(ctx, rel, opts.Transform)
+	pb, err := TransformBitsContext(ctx, rel, opts.ResolvedTransform())
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +193,7 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 // bit-packed pair-sample store (see TransformBitsContext) — the model
 // phase apart from the transform, which paper Fig. 6 times separately. The
 // covariance comes from popcount co-occurrence counts (fanned out over
-// Transform.Workers), bit-identical to the float estimators in
+// Workers), bit-identical to the float estimators in
 // internal/stats on the unpacked block.
 func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, opts Options) (*Model, error) {
 	if pb.k != len(names) {
@@ -196,9 +203,9 @@ func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, 
 	csp := opts.Obs.StartStage("covariance")
 	var s *linalg.Dense
 	if opts.PooledCovariance {
-		s = pb.Covariance(opts.Transform.Workers)
+		s = pb.Covariance(opts.Workers)
 	} else {
-		s = pb.StratifiedCovariance(opts.Transform.Workers)
+		s = pb.StratifiedCovariance(opts.Workers)
 	}
 	csp.Attr("dim", len(names))
 	csp.End()

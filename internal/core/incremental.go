@@ -274,7 +274,7 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	bsp.Attr("global", global)
 	bsp.Attr("rows", n)
 	h := a.opts.Obs.Under(bsp)
-	topts := a.opts.Transform
+	topts := a.opts.ResolvedTransform()
 	topts.defaults()
 	topts.Obs = h
 	topts.Seed = a.opts.Seed + int64(global)

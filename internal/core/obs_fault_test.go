@@ -20,8 +20,7 @@ func TestFaultSlowStageVisibleInTransformSpan(t *testing.T) {
 	faults.Arm(faults.SlowStage, faults.Config{Times: 1, Delay: delay})
 
 	tr := obs.New()
-	opts := Options{Obs: obs.Hooks{Tracer: tr}}
-	opts.Transform.Workers = 1
+	opts := Options{Workers: 1, Obs: obs.Hooks{Tracer: tr}}
 	if _, err := Discover(fdRelation(60), opts); err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -61,8 +60,7 @@ func TestFaultSlowStageVisibleInSweepSpan(t *testing.T) {
 
 	tr := obs.New()
 	faults.Arm(faults.SlowStage, faults.Config{Times: 1, Delay: delay})
-	opts := Options{Obs: obs.Hooks{Tracer: tr}}
-	opts.Transform.Workers = 1
+	opts := Options{Workers: 1, Obs: obs.Hooks{Tracer: tr}}
 	if _, err := DiscoverFromBitsContext(context.Background(), pb, names, opts); err != nil {
 		t.Fatalf("DiscoverFromBitsContext: %v", err)
 	}

@@ -31,13 +31,13 @@ type TransformOptions struct {
 	// TextSimilarity enables Jaccard 3-gram similarity ≥ textThreshold as
 	// the text difference operator; otherwise text compares exactly.
 	TextSimilarity bool
-	// Workers sets the number of goroutines processing attribute blocks,
-	// and in discovery the count covariance's row chunks (0 = GOMAXPROCS,
-	// 1 = sequential). Each attribute's sorted block is independent, so
-	// the output is identical at any worker count.
+	// Workers sets the number of goroutines processing attribute blocks
+	// (0 = GOMAXPROCS, 1 = sequential); inherited from the pipeline options
+	// by Options.ResolvedTransform. Each attribute's sorted block is
+	// independent, so the output is identical at any worker count.
 	Workers int
 	// Obs carries the optional telemetry sinks; inherited from the
-	// pipeline options by core.Options.defaults. Never part of the
+	// pipeline options by Options.ResolvedTransform. Never part of the
 	// checkpoint fingerprint.
 	Obs obs.Hooks
 }

@@ -8,7 +8,22 @@ import (
 
 	"fdx/internal/dataset"
 	"fdx/internal/linalg"
+	"fdx/internal/obs"
 )
+
+// TestResolvedTransformInheritsPipelineOptions pins the one place the
+// transform takes Seed, Workers and the telemetry sinks from the pipeline
+// options while keeping its own fields.
+func TestResolvedTransformInheritsPipelineOptions(t *testing.T) {
+	tr := obs.New()
+	o := Options{Seed: 7, Workers: 3, Obs: obs.Hooks{Tracer: tr},
+		Transform: TransformOptions{Seed: 1, Workers: 9, MaxRows: 40}}
+	got := o.ResolvedTransform()
+	if got.Seed != 7 || got.Workers != 3 || got.Obs.Tracer != tr || got.MaxRows != 40 {
+		t.Errorf("ResolvedTransform = {Seed %d, Workers %d, Tracer inherited %t, MaxRows %d}, want {7, 3, true, 40}",
+			got.Seed, got.Workers, got.Obs.Tracer == tr, got.MaxRows)
+	}
+}
 
 func TestTransformDeterministicAcrossWorkerCounts(t *testing.T) {
 	f := func(seed int64) bool {

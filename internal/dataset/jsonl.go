@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 )
@@ -106,35 +105,6 @@ func LoadJSONL(path string) (*Relation, error) {
 	}
 	defer f.Close()
 	return ReadJSONL(path, f)
-}
-
-// WriteJSONL serializes the relation as JSON Lines; NULLs become JSON
-// nulls, numeric cells are written as numbers.
-func WriteJSONL(r *Relation, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	names := r.AttrNames()
-	for i := 0; i < r.NumRows(); i++ {
-		rec := make(map[string]interface{}, len(names))
-		for j, col := range r.Columns {
-			v, ok := col.Value(i)
-			if !ok {
-				rec[names[j]] = nil
-				continue
-			}
-			if col.Type == Numeric {
-				if f := col.Float(i); !math.IsNaN(f) {
-					rec[names[j]] = f
-					continue
-				}
-			}
-			rec[names[j]] = v
-		}
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // trimFloat renders a float64 without a trailing ".0" for integral values.

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -53,15 +52,10 @@ func TestReadJSONLRejectsNested(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	rel := New("t", "name", "score")
-	rel.Columns[1].Type = Numeric
-	rel.AppendRow([]string{"alice", "3.5"})
-	rel.AppendRow([]string{"bob", ""})
-	var buf bytes.Buffer
-	if err := WriteJSONL(rel, &buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSONL("t", &buf)
+	in := `{"name":"alice","score":3.5}
+{"name":"bob","score":null}
+`
+	got, err := ReadJSONL("t", strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

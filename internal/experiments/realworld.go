@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -140,25 +139,4 @@ func contains(ss []string, s string) bool {
 		}
 	}
 	return false
-}
-
-// GoalDeterminants returns the attributes FDX finds determining the target
-// attribute of a data set, sorted — the feature-selection use of §5.5.
-func GoalDeterminants(cfg Config, datasetName, target string) ([]string, error) {
-	rel, err := realdata.ByName(datasetName, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := fdx.Discover(rel, fdx.Options{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, fd := range res.FDs {
-		if fd.RHS == target {
-			out = append(out, fd.LHS...)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

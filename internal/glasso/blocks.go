@@ -74,16 +74,6 @@ func (br *BlockedResult) Diagnostics() []BlockDiag {
 	return d
 }
 
-// TotalSweeps returns the sum of sweep counts across blocks — the work
-// actually performed, as opposed to the wall-clock-comparable Iterations.
-func (br *BlockedResult) TotalSweeps() int {
-	t := 0
-	for _, b := range br.Blocks {
-		t += b.Iterations
-	}
-	return t
-}
-
 // DensePrecision assembles the full k×k precision matrix Θ: block
 // solutions scattered into place, exact zeros everywhere off-block (the
 // screening theorem guarantees those entries are zero in the true

@@ -156,16 +156,6 @@ func SolveUpper(u *Dense, b []float64) []float64 {
 	return x
 }
 
-// SolveSPD solves a·x = b for symmetric positive definite a via Cholesky.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	y := SolveLower(l, b)
-	return SolveUpper(l.Transpose(), y), nil
-}
-
 // InverseSPD returns a⁻¹ for symmetric positive definite a via Cholesky.
 func InverseSPD(a *Dense) (*Dense, error) {
 	n := a.rows

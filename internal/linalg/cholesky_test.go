@@ -137,13 +137,14 @@ func TestSolveTriangularAndSPD(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		b := MulVec(a, x)
-		got, err := SolveSPD(a, b)
+		l, err := Cholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := SolveUpper(l.Transpose(), SolveLower(l, b))
 		for i := range x {
 			if !almostEq(got[i], x[i], 1e-6) {
-				t.Fatalf("trial %d: SolveSPD[%d] = %v, want %v", trial, i, got[i], x[i])
+				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[i], x[i])
 			}
 		}
 	}

@@ -89,60 +89,8 @@ func (r *Registry) Snapshot() []Series {
 	return out
 }
 
-// HistogramQuantile estimates the q-quantile (0 < q <= 1) of a histogram
-// from its upper bounds and cumulative bucket counts (as returned by
-// Histogram.Buckets), with total the full observation count including the
-// implicit +Inf bucket. The estimate interpolates linearly within the
-// bucket containing the quantile rank, Prometheus histogram_quantile
-// style; ranks that land in the +Inf bucket clamp to the largest finite
-// bound.
-func HistogramQuantile(bounds []float64, cumulative []uint64, total uint64, q float64) float64 {
-	if total == 0 || len(bounds) == 0 || len(bounds) != len(cumulative) {
-		return 0
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	var prev uint64
-	lower := 0.0
-	for i, b := range bounds {
-		if float64(cumulative[i]) >= rank {
-			in := cumulative[i] - prev
-			if in == 0 {
-				return b
-			}
-			frac := (rank - float64(prev)) / float64(in)
-			return lower + frac*(b-lower)
-		}
-		prev = cumulative[i]
-		lower = b
-	}
-	return bounds[len(bounds)-1]
-}
-
-// SumBuckets folds another histogram's cumulative counts into acc
-// (allocating acc on first use), so per-tenant series can be aggregated
-// into one distribution before taking quantiles. The bounds must match;
-// mismatched inputs return acc unchanged.
-func SumBuckets(acc []uint64, cumulative []uint64) []uint64 {
-	if acc == nil {
-		return append([]uint64(nil), cumulative...)
-	}
-	if len(acc) != len(cumulative) {
-		return acc
-	}
-	for i := range acc {
-		acc[i] += cumulative[i]
-	}
-	return acc
-}
-
 // ServeBuckets are the request-latency bucket bounds (seconds) used by the
-// fdxd service histograms: 250µs to ~65s in powers of two. The tighter
-// geometric spacing keeps HistogramQuantile's p99 estimate within one
-// doubling of the truth, so benchmark and dashboard quantiles can be read
-// from the histograms instead of being re-timed client-side.
+// fdxd service histograms: 250µs to ~65s in powers of two.
 var ServeBuckets = []float64{
 	0.00025, 0.0005, 0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064,
 	0.125, 0.25, 0.5, 1, 2, 4, 8, 16, 32, 64,

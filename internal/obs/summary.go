@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -126,15 +125,4 @@ func fmtBytes(n uint64) string {
 		return fmt.Sprintf("%d%s", n, units[0])
 	}
 	return fmt.Sprintf("%.1f%s", v, units[i])
-}
-
-// SortStageTimings orders stage timings for report output: descending
-// duration, ties broken by name.
-func SortStageTimings(ts []StageTiming) {
-	sort.SliceStable(ts, func(i, j int) bool {
-		if ts[i].Duration != ts[j].Duration {
-			return ts[i].Duration > ts[j].Duration
-		}
-		return ts[i].Stage < ts[j].Stage
-	})
 }

@@ -204,14 +204,6 @@ func (s *Span) Ended() bool {
 	return s.ended
 }
 
-// Started returns the span start time.
-func (s *Span) Started() time.Time {
-	if s == nil {
-		return time.Time{}
-	}
-	return s.start
-}
-
 // Duration returns end−start for ended spans and the running elapsed
 // time otherwise (0 for nil spans).
 func (s *Span) Duration() time.Duration {

@@ -122,18 +122,6 @@ func (t *Tracer) TraceID() string {
 	return t.traceID
 }
 
-// SetTraceID adopts an externally assigned trace-id (e.g. extracted from
-// an incoming traceparent header), so spans recorded here join the
-// caller's trace. Malformed IDs are ignored.
-func (t *Tracer) SetTraceID(id string) {
-	if t == nil || len(id) != 32 || !isHex(id) || allZero(id) {
-		return
-	}
-	t.mu.Lock()
-	t.traceID = id
-	t.mu.Unlock()
-}
-
 // SpanID returns the span's W3C span-id, assigning one on first use.
 // Nil and detached spans return "".
 func (s *Span) SpanID() string {
@@ -155,17 +143,6 @@ func (s *Span) TraceID() string {
 		return ""
 	}
 	return s.tracer.TraceID()
-}
-
-// Remote reports whether the span was grafted from another process via
-// AttachRemote.
-func (s *Span) Remote() bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.remote
 }
 
 // AttachRemote grafts a span observed in another process (e.g. echoed

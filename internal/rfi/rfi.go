@@ -88,19 +88,6 @@ func Discover(rel *dataset.Relation, opts Options) []core.FD {
 	return fds
 }
 
-// TargetScore exposes the per-target search for callers that need the raw
-// (set, score) result, e.g. the GL baseline's edge orientation.
-func TargetScore(rel *dataset.Relation, rhs int, opts Options) ([]int, float64) {
-	opts.defaults()
-	k := rel.NumCols()
-	labels := make([][]int, k)
-	for j := 0; j < k; j++ {
-		labels[j] = columnLabels(rel.Columns[j])
-	}
-	set, score := searchTarget(labels, rhs, &opts)
-	return set.Members(), score
-}
-
 // searchTarget runs the branch-and-bound search for one RHS attribute.
 func searchTarget(labels [][]int, rhs int, opts *Options) (attrset.Set, float64) {
 	k := len(labels)

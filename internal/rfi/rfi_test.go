@@ -167,17 +167,3 @@ func TestRFIDegenerate(t *testing.T) {
 	// NULLs present: must not panic, missing treated as a value.
 	_ = Discover(rel, Options{})
 }
-
-func TestTargetScore(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	rows := make([][]int, 200)
-	for i := range rows {
-		a := rng.Intn(5)
-		rows[i] = []int{a, a}
-	}
-	rel := relFromCodes(rows, "a", "b")
-	lhs, score := TargetScore(rel, 1, Options{})
-	if len(lhs) != 1 || lhs[0] != 0 || score < 0.8 {
-		t.Errorf("TargetScore = %v, %v", lhs, score)
-	}
-}

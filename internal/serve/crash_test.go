@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,6 +24,11 @@ func discoverB(t *testing.T, sv *Server, id, tenant string) [][]float64 {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("discover: status %d body %v", rec.Code, body)
 	}
+	return wireB(body)
+}
+
+// wireB decodes the B matrix of a discover reply body.
+func wireB(body map[string]any) [][]float64 {
 	raw := body["b"].([]any)
 	b := make([][]float64, len(raw))
 	for i, row := range raw {
@@ -167,6 +175,73 @@ func TestServeBootsV1DataDir(t *testing.T) {
 		}
 		if got := discoverB(t, sv, "s1", "acme"); !reflect.DeepEqual(got, res.B) {
 			t.Fatalf("boot %d: B %v, library restore gives %v", boot, got, res.B)
+		}
+	}
+}
+
+// TestServeDiscoverCountsMatchB races ingest against discover on one
+// session: every discover reply's rows/batches must describe the state its
+// B was computed from, so B equals an in-process accumulator fed exactly
+// that many batches. Counts read from the live session after the clone
+// can run ahead of B; this only shows when an ingest lands between the
+// two reads.
+func TestServeDiscoverCountsMatchB(t *testing.T) {
+	sv := newServer(t, nil)
+	createSession(t, sv, "s1", "acme")
+	const total, rowsPer = 24, 40
+
+	// wantB[n] is the B of the first n batches.
+	wantB := make([][][]float64, total+1)
+	acc := fdx.NewAccumulator(testAttrs, fdx.Options{})
+	for n := 1; n <= total; n++ {
+		rel, err := batchRelation(testAttrs, genRows(rowsPer, (n-1)*rowsPer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := acc.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+		res, err := acc.Discover()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB[n] = res.B
+	}
+
+	ingest(t, sv, "s1", "acme", 1, rowsPer, 0)
+	done := make(chan struct{})
+	defer func() { <-done }() // a failed check must not outlive the ingest
+	go func() {
+		defer close(done)
+		for seq := 2; seq <= total; seq++ {
+			// Marshalling a struct of ints and strings cannot fail.
+			raw, _ := json.Marshal(rowsRequest{Seq: seq, Rows: genRows(rowsPer, (seq-1)*rowsPer)})
+			req := httptest.NewRequest("POST", "/v1/sessions/s1/rows", bytes.NewReader(raw))
+			req.Header.Set("X-Fdx-Tenant", "acme")
+			rec := httptest.NewRecorder()
+			sv.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Errorf("ingest seq %d: status %d", seq, rec.Code)
+				return
+			}
+		}
+	}()
+	for {
+		rec, body := do(t, sv, "POST", "/v1/sessions/s1/discover", "acme", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("discover: status %d body %v", rec.Code, body)
+		}
+		batches := int(body["batches"].(float64))
+		if batches < 1 || batches > total || body["rows"] != float64(batches*rowsPer) {
+			t.Fatalf("discover reply counts rows=%v batches=%v", body["rows"], body["batches"])
+		}
+		if !reflect.DeepEqual(wireB(body), wantB[batches]) {
+			t.Fatalf("discover reply says %d batches but its B is not the %d-batch B", batches, batches)
+		}
+		select {
+		case <-done:
+			return
+		default:
 		}
 	}
 }

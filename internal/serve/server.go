@@ -472,7 +472,10 @@ func (sv *Server) handleDiscover(w http.ResponseWriter, r *http.Request) *httpEr
 	if herr != nil {
 		return herr
 	}
-	rows, batches := s.stats()
+	// The counts come from the clone, not the live session: an ingest
+	// landing after the clone must not make them describe a newer state
+	// than the B this reply returns.
+	rows, batches := clone.Rows(), clone.Batches()
 	job := &discoverJob{ctx: r.Context(), acc: clone, done: make(chan discoverResult, 1)}
 	if !sv.queue.submit(job) {
 		sv.cfg.Metrics.Counter(obs.Labeled(obs.MServeShed, "tenant", tenant)).Inc()

@@ -108,25 +108,3 @@ func gammaQContinued(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
-
-// CramersV returns Cramér's V association measure in [0,1] for the table.
-func CramersV(c *Contingency) float64 {
-	stat, _ := ChiSquared(c)
-	if c.N == 0 {
-		return 0
-	}
-	k := len(c.RowSum)
-	m := len(c.ColSum)
-	minDim := k
-	if m < minDim {
-		minDim = m
-	}
-	if minDim <= 1 {
-		return 0
-	}
-	v := math.Sqrt(stat / (float64(c.N) * float64(minDim-1)))
-	if v > 1 {
-		return 1
-	}
-	return v
-}

@@ -6,7 +6,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 
@@ -221,13 +220,4 @@ func Standardize(data *linalg.Dense) (mu, sd []float64) {
 		}
 	}
 	return mu, sd
-}
-
-// CheckDims panics unless m has the wanted shape; a development aid for the
-// experiment code.
-func CheckDims(m *linalg.Dense, rows, cols int) {
-	r, c := m.Dims()
-	if r != rows || c != cols {
-		panic(fmt.Sprintf("stats: got %dx%d matrix, want %dx%d", r, c, rows, cols))
-	}
 }

@@ -26,15 +26,6 @@ func Entropy(counts []int) float64 {
 	return h
 }
 
-// EntropyOfLabels returns the entropy of an integer label sequence.
-func EntropyOfLabels(labels []int) float64 {
-	counts := map[int]int{}
-	for _, l := range labels {
-		counts[l]++
-	}
-	return Entropy(sortedCounts(counts))
-}
-
 // sortedCounts extracts a map's count values in sorted order so that the
 // float summations downstream are bit-for-bit reproducible: float addition
 // is not associative, and Go randomizes map iteration order per run.
@@ -118,31 +109,6 @@ func (c *Contingency) MutualInformation() float64 {
 		return 0
 	}
 	return mi
-}
-
-// ConditionalEntropy returns H(Y|X) = H(X,Y) − H(X), clamped at 0.
-func (c *Contingency) ConditionalEntropy() float64 {
-	h := c.JointEntropy() - c.EntropyX()
-	if h < 0 {
-		return 0
-	}
-	return h
-}
-
-// FractionOfInformation returns F(X,Y) = I(X;Y)/H(Y) ∈ [0,1], the
-// information-theoretic FD score of paper §2.1; 1 when Y has zero entropy.
-// (fdx:numeric-kernel: entropy of a single label is exactly 0, so the
-// degenerate case is an exact-zero sentinel, not a tolerance question.)
-func (c *Contingency) FractionOfInformation() float64 {
-	hy := c.EntropyY()
-	if hy == 0 {
-		return 1
-	}
-	f := c.MutualInformation() / hy
-	if f > 1 {
-		return 1
-	}
-	return f
 }
 
 func entropyOfMap(counts map[int]int) float64 {

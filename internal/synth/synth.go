@@ -266,23 +266,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// AllSettings enumerates the paper's 8 plotted setting combinations of
-// Figure 2 (t, r, d each large/small with n high/low — the figure shows 8
-// of the 16; the harness exposes all 16 and the experiment picks the 8).
-func AllSettings() []Setting {
-	var out []Setting
-	for _, t := range []bool{true, false} {
-		for _, r := range []bool{true, false} {
-			for _, d := range []bool{true, false} {
-				for _, n := range []bool{true, false} {
-					out = append(out, Setting{TLarge: t, RLarge: r, DLarge: d, NHigh: n})
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Figure2Settings returns the 8 settings plotted in the paper's Figure 2,
 // in subfigure order (a)–(h).
 func Figure2Settings() []Setting {

@@ -78,9 +78,6 @@ func TestSettingConfigs(t *testing.T) {
 }
 
 func TestAllSettingsCount(t *testing.T) {
-	if len(AllSettings()) != 16 {
-		t.Errorf("AllSettings = %d, want 16", len(AllSettings()))
-	}
 	if len(Figure2Settings()) != 8 {
 		t.Errorf("Figure2Settings = %d, want 8", len(Figure2Settings()))
 	}
