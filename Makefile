@@ -54,9 +54,12 @@ test-faults:
 
 # Crash-equivalence suite: kill the durable stream at every byte of its
 # snapshot and WAL, restore, and require results identical to an
-# uninterrupted run (or a typed corruption error) — never a panic.
+# uninterrupted run (or a typed corruption error) — never a panic. The
+# root and internal/serve tests are named TestCrash*; internal/checkpoint
+# contributes its format-level cuts (every snapshot truncation fails typed,
+# a WAL cut at every byte truncates to the last whole record).
 test-crash:
-	$(GO) test -race -run 'Crash' ./internal/checkpoint ./internal/serve .
+	$(GO) test -race -run 'Crash|EveryTruncation|AtEveryCut' ./internal/checkpoint ./internal/serve .
 
 # Service robustness suite: the race-enabled internal/serve tests (armed
 # IngestStall/QueueFull/DrainTimeout faults under concurrent tenants,

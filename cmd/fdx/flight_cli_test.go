@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -264,7 +265,7 @@ func TestShippedStreamSharedTraceID(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("shipped stream: exit %d\n%s", code, out)
 	}
-	if got, want := fdLines(out), referenceFDs(t, 50); !equalStrings(got, want) {
+	if got, want := fdLines(out), referenceFDs(t, 50); !slices.Equal(got, want) {
 		t.Errorf("remote discovery differs from sequential:\nremote: %v\nlocal:  %v", got, want)
 	}
 

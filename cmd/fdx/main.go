@@ -40,12 +40,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 
 	"fdx"
-	"fdx/internal/core"
-	"fdx/internal/obs"
 	"fdx/internal/profile"
 	"fdx/internal/serve"
 )
@@ -104,19 +103,28 @@ func loadRelation(path string) (*fdx.Relation, error) {
 	return rel, nil
 }
 
+// addDiscoveryFlags binds the discovery options fdx and fdx stream share
+// straight into one fdx.Options. pinned is appended to the usage of the
+// options that shape the pair transform (stream resumes must repeat them).
+func addDiscoveryFlags(fs *flag.FlagSet, pinned string) *fdx.Options {
+	opts := new(fdx.Options)
+	fs.Float64Var(&opts.Lambda, "lambda", 0, "graphical lasso sparsity penalty")
+	fs.Float64Var(&opts.Threshold, "threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.05; negative = no absolute floor)")
+	fs.StringVar(&opts.Ordering, "ordering", "", "column ordering: heuristic|natural|amd|colamd|metis|nesdis|reverse|random")
+	fs.Int64Var(&opts.Seed, "seed", 0, "random seed for the transform shuffle"+pinned)
+	fs.BoolVar(&opts.TextSimilarity, "text-similarity", false, "use 3-gram similarity for text columns"+pinned)
+	fs.Float64Var(&opts.NumericTolerance, "numeric-tol", 0, "relative tolerance for numeric equality"+pinned)
+	return opts
+}
+
 func runDiscover(args []string) int {
 	fs := flag.NewFlagSet("fdx", flag.ExitOnError)
+	opts := addDiscoveryFlags(fs, "")
+	fs.IntVar(&opts.MaxRows, "max-rows", 0, "cap on tuples used by the pair transform (0 = all)")
 	var (
-		lambda    = fs.Float64("lambda", 0, "graphical lasso sparsity penalty")
-		threshold = fs.Float64("threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.05; negative = no absolute floor)")
-		ordering  = fs.String("ordering", "", "column ordering: heuristic|natural|amd|colamd|metis|nesdis|reverse|random")
-		maxRows   = fs.Int("max-rows", 0, "cap on tuples used by the pair transform (0 = all)")
-		seed      = fs.Int64("seed", 0, "random seed for the transform shuffle")
 		heatmap   = fs.Bool("heatmap", false, "print the autoregression matrix heatmap")
 		profileIt = fs.Bool("profile", false, "print a full profiling report (columns, keys, FDs, error rate)")
 		normalize = fs.Bool("normalize", false, "print candidate keys and a 3NF synthesis from the discovered FDs")
-		textSim   = fs.Bool("text-similarity", false, "use 3-gram similarity for text columns")
-		numTol    = fs.Float64("numeric-tol", 0, "relative tolerance for numeric equality")
 	)
 	tflags := addTelemetryFlags(fs)
 	fs.Parse(args)
@@ -134,19 +142,9 @@ func runDiscover(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
+	tel.apply(opts)
 	if *profileIt {
-		rep, err := profile.Build(rel, profile.Options{Discovery: core.Options{
-			Lambda:    *lambda,
-			Threshold: *threshold,
-			Ordering:  *ordering,
-			Seed:      *seed,
-			Obs:       obs.Hooks{Tracer: tel.tracer, Metrics: tel.metrics},
-			Transform: core.TransformOptions{
-				MaxRows:        *maxRows,
-				NumericTol:     *numTol,
-				TextSimilarity: *textSim,
-			},
-		}})
+		rep, err := profile.Build(rel, profile.Options{Discovery: *opts})
 		if err != nil {
 			return fail(err)
 		}
@@ -156,17 +154,7 @@ func runDiscover(args []string) int {
 		}
 		return 0
 	}
-	dopts := fdx.Options{
-		Lambda:           *lambda,
-		Threshold:        *threshold,
-		Ordering:         *ordering,
-		MaxRows:          *maxRows,
-		Seed:             *seed,
-		TextSimilarity:   *textSim,
-		NumericTolerance: *numTol,
-	}
-	tel.apply(&dopts)
-	res, err := fdx.Discover(rel, dopts)
+	res, err := fdx.Discover(rel, *opts)
 	if err != nil {
 		return fail(err)
 	}
@@ -207,17 +195,12 @@ func runDiscover(args []string) int {
 
 func runStream(args []string) int {
 	fs := flag.NewFlagSet("fdx stream", flag.ExitOnError)
+	opts := addDiscoveryFlags(fs, " (must match across resumes)")
 	var (
 		ckpt       = fs.String("checkpoint", "", "checkpoint file path (required); the WAL lives at this path + \".wal\"")
 		every      = fs.Int("every", 16, "durably snapshot every N batches")
 		batchRows  = fs.Int("batch", 512, "rows per accumulator batch")
-		lambda     = fs.Float64("lambda", 0, "graphical lasso sparsity penalty")
-		threshold  = fs.Float64("threshold", 0, "minimum |B| coefficient for an FD edge (0 = default 0.05; negative = no absolute floor)")
-		ordering   = fs.String("ordering", "", "column ordering: heuristic|natural|amd|colamd|metis|nesdis|reverse|random")
-		seed       = fs.Int64("seed", 0, "random seed for the transform shuffle (must match across resumes)")
 		heatmap    = fs.Bool("heatmap", false, "print the autoregression matrix heatmap")
-		textSim    = fs.Bool("text-similarity", false, "use 3-gram similarity for text columns (must match across resumes)")
-		numTol     = fs.Float64("numeric-tol", 0, "relative tolerance for numeric equality (must match across resumes)")
 		batchDelay = fs.Duration("batch-delay", 0, "sleep this long after each batch (throttle for live inspection)")
 		shards     = fs.Int("shards", 1, "fan batches across N supervised local shard workers (1 = one worker); the result is bit-identical at any N")
 		shardTries = fs.Int("shard-retries", 3, "restarts allowed per crashed or stalled shard worker")
@@ -240,15 +223,7 @@ func runStream(args []string) int {
 	if err != nil {
 		return fail(err)
 	}
-	opts := fdx.Options{
-		Lambda:           *lambda,
-		Threshold:        *threshold,
-		Ordering:         *ordering,
-		Seed:             *seed,
-		TextSimilarity:   *textSim,
-		NumericTolerance: *numTol,
-	}
-	tel.apply(&opts)
+	tel.apply(opts)
 
 	// SIGTERM asks for a graceful drain (checkpoint, exit 0); SIGINT stays
 	// a prompt interrupt (exit 130). Both cancel the context so a running
@@ -275,10 +250,10 @@ func runStream(args []string) int {
 	}
 
 	// Resume from the checkpoint when one exists; otherwise start fresh.
-	acc, err := fdx.LoadCheckpoint(*ckpt, opts)
+	acc, err := fdx.LoadCheckpoint(*ckpt, *opts)
 	switch {
 	case err == nil:
-		if got, want := acc.Attributes(), rel.AttrNames(); !equalStrings(got, want) {
+		if got, want := acc.Attributes(), rel.AttrNames(); !slices.Equal(got, want) {
 			return fail(fmt.Errorf("checkpoint schema %v does not match %s schema %v: %w",
 				got, fs.Arg(0), want, fdx.ErrBadInput))
 		}
@@ -288,7 +263,7 @@ func runStream(args []string) int {
 			fmt.Fprintf(os.Stderr, "fdx: warning: truncated a torn WAL tail record (the batch the previous run died appending); resuming one batch earlier\n")
 		}
 	case errors.Is(err, os.ErrNotExist):
-		acc = fdx.NewAccumulator(rel.AttrNames(), opts)
+		acc = fdx.NewAccumulator(rel.AttrNames(), *opts)
 		// Write the empty-state snapshot up front so a rerun resumes the
 		// stream under the options it was started with.
 		if err := acc.SaveCheckpoint(*ckpt); err != nil {
@@ -330,9 +305,9 @@ func runStream(args []string) int {
 		tenant:     *tenant,
 	}
 	if *ship != "" {
-		err = runShippedStream(ctx, rel, opts, acc, cfg, tel)
+		err = runShippedStream(ctx, rel, *opts, acc, cfg, tel)
 	} else {
-		acc, err = runShardedStream(ctx, rel, opts, acc, cfg)
+		acc, err = runShardedStream(ctx, rel, *opts, acc, cfg)
 	}
 	if err != nil {
 		if draining.Load() && errors.Is(err, fdx.ErrCancelled) {
@@ -386,16 +361,4 @@ func saveAndReset(acc *fdx.Accumulator, path string, wal *fdx.WAL) error {
 		return err
 	}
 	return wal.Reset()
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -137,7 +138,7 @@ func TestProfileHonoursTransformFlags(t *testing.T) {
 		return fds
 	}
 	capped := plainFDs("-max-rows", "60")
-	if equalStrings(capped, plainFDs()) {
+	if slices.Equal(capped, plainFDs()) {
 		t.Fatal("-max-rows 60 does not change the plain FD list; the data cannot show a dropped flag")
 	}
 
@@ -154,7 +155,7 @@ func TestProfileHonoursTransformFlags(t *testing.T) {
 		}
 	}
 	sort.Strings(profiled)
-	if !equalStrings(profiled, capped) {
+	if !slices.Equal(profiled, capped) {
 		t.Errorf("-profile -max-rows 60 FDs differ from plain -max-rows 60:\nprofile: %v\nplain:   %v", profiled, capped)
 	}
 }
@@ -179,7 +180,7 @@ func TestStreamResumeMatchesFreshRun(t *testing.T) {
 	if !strings.Contains(stderr, "resuming from") {
 		t.Errorf("second run did not resume from the checkpoint; stderr:\n%s", stderr)
 	}
-	if a, b := fdLines(fresh), fdLines(resumed); !equalStrings(a, b) {
+	if a, b := fdLines(fresh), fdLines(resumed); !slices.Equal(a, b) {
 		t.Errorf("resumed dependencies differ:\nfresh:   %v\nresumed: %v", a, b)
 	}
 }
@@ -216,7 +217,7 @@ func TestStreamResumeAfterPartialCheckpoint(t *testing.T) {
 	if !strings.Contains(stderr, "3 batches, 300 rows already absorbed") {
 		t.Errorf("resume did not pick up the partial checkpoint; stderr:\n%s", stderr)
 	}
-	if a, b := fdLines(full), fdLines(resumed); !equalStrings(a, b) {
+	if a, b := fdLines(full), fdLines(resumed); !slices.Equal(a, b) {
 		t.Errorf("resumed dependencies differ:\nfull:    %v\nresumed: %v", a, b)
 	}
 }

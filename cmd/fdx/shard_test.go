@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestShardedStreamMatchesSequential(t *testing.T) {
 		if code != 0 {
 			t.Fatalf("shards=%d: exit %d\n%s", shards, code, out)
 		}
-		if got := fdLines(out); !equalStrings(got, want) {
+		if got := fdLines(out); !slices.Equal(got, want) {
 			t.Errorf("shards=%d dependencies differ:\nsharded:    %v\nsequential: %v", shards, got, want)
 		}
 	}
@@ -120,7 +121,7 @@ func TestShardedStreamSurvivesCrashes(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("shards=%d with crashes: exit %d\n%s", shards, code, out)
 			}
-			if got := fdLines(out); !equalStrings(got, want) {
+			if got := fdLines(out); !slices.Equal(got, want) {
 				t.Errorf("shards=%d crash run differs:\ncrashed:    %v\nsequential: %v", shards, got, want)
 			}
 		}()
@@ -147,7 +148,7 @@ func TestShardedStreamCrashEveryBoundary(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("recovery run: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("recovery after crash-looped run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 }
@@ -164,7 +165,7 @@ func TestShardedStreamSurvivesStalls(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("stalled run: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("stalled run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 }
@@ -181,7 +182,7 @@ func TestShardedStreamSurvivesMergeCorruption(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("merge-corrupt run: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("merge-corrupt run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 }
@@ -219,7 +220,7 @@ func TestShardedStreamResumesAcrossRuns(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("resuming run: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("resumed sharded run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 	// The merged checkpoint covers everything; a further run (even at a
@@ -228,7 +229,7 @@ func TestShardedStreamResumesAcrossRuns(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("post-merge run: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("post-merge run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 }
@@ -242,7 +243,7 @@ func TestShardedStreamMoreShardsThanBatches(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("16 shards: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("16-shard run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 }
@@ -271,7 +272,7 @@ func TestShardedStreamAfterSequentialPrefix(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("sharded run on a sequential prefix: exit %d\n%s", code, out)
 	}
-	if got := fdLines(out); !equalStrings(got, want) {
+	if got := fdLines(out); !slices.Equal(got, want) {
 		t.Errorf("prefix+sharded run differs:\ngot:  %v\nwant: %v", got, want)
 	}
 }

@@ -108,7 +108,6 @@ func wireOptions(opts fdx.Options) serve.SessionOptions {
 		MaxRows:            opts.MaxRows,
 		NumericTolerance:   opts.NumericTolerance,
 		TextSimilarity:     opts.TextSimilarity,
-		Workers:            opts.Workers,
 		Seed:               opts.Seed,
 		RequireConvergence: opts.RequireConvergence,
 	}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -115,7 +116,7 @@ func TestStreamSIGTERMDrainsCleanly(t *testing.T) {
 		t.Errorf("rerun absorbed %d batches, want the remaining %d starting at batch %d; lines:\n%s",
 			len(lines), total-g, g+1, strings.Join(lines, "\n"))
 	}
-	if a, b := referenceFDs(t, 20), fdLines(resumed); !equalStrings(a, b) {
+	if a, b := referenceFDs(t, 20), fdLines(resumed); !slices.Equal(a, b) {
 		t.Errorf("dependencies after drained resume differ:\nreference: %v\nresumed:   %v", a, b)
 	}
 }
@@ -141,7 +142,7 @@ func TestStreamDrainResumesAtAnyShardCount(t *testing.T) {
 			t.Errorf("-shards 4 rerun re-absorbed drained batch %d", b)
 		}
 	}
-	if a, b := referenceFDs(t, 20), fdLines(resumed); !equalStrings(a, b) {
+	if a, b := referenceFDs(t, 20), fdLines(resumed); !slices.Equal(a, b) {
 		t.Errorf("dependencies after drained -shards 4 resume differ:\nreference: %v\nresumed:   %v", a, b)
 	}
 }

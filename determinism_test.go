@@ -9,6 +9,7 @@ import (
 	"fdx"
 	"fdx/internal/core"
 	"fdx/internal/linalg"
+	"fdx/internal/obs"
 	"fdx/internal/stats"
 )
 
@@ -62,58 +63,66 @@ func TestDiscoverDeterministic(t *testing.T) {
 	assertIdentical(t, a, b)
 }
 
-// TestDiscoverDeterministicParallel checks that the parallel transform does
-// not perturb results: Workers > 1 must match both itself and a sequential
-// run exactly.
-func TestDiscoverDeterministicParallel(t *testing.T) {
-	p1, p2 := discoverTwice(t, fdx.Options{Seed: 7, Workers: 4})
-	assertIdentical(t, p1, p2)
-	s1, _ := discoverTwice(t, fdx.Options{Seed: 7, Workers: 1})
-	assertIdentical(t, s1, p1)
+// discoverWorkers runs the core pipeline with the pair transform and its
+// count covariance at the given worker count — a stage setting the
+// public options do not carry — and returns the fields assertIdentical
+// compares.
+func discoverWorkers(t *testing.T, rel *fdx.Relation, opts core.Options, workers int) *fdx.Result {
+	t.Helper()
+	opts.Transform.Workers = workers
+	m, err := core.Discover(rel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resultOf(m, rel.AttrNames())
 }
 
-// TestDiscoverDeterministicAcrossWorkerCounts sweeps the worker knob across
-// every stage it reaches (transform blocks, glasso columns, accumulator
-// strata) and demands element-wise identical FDs and bit-for-bit identical
-// B at 1, 4, and 8 workers: chunk boundaries and reduction orders depend
-// only on problem sizes, never on the worker count (see internal/par).
+// TestDiscoverDeterministicAcrossWorkerCounts sweeps the transform and
+// count-covariance worker count and demands element-wise identical FDs and
+// bit-for-bit identical B at 1, 4, and 8 workers, run to run and against
+// the public Discover at its default (GOMAXPROCS): chunk boundaries and
+// reduction orders depend only on problem sizes, never on the worker
+// count (see internal/par).
 func TestDiscoverDeterministicAcrossWorkerCounts(t *testing.T) {
-	base, _ := discoverTwice(t, fdx.Options{Seed: 7, Workers: 1})
+	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
+	base := discoverWorkers(t, rel, core.Options{Seed: 7}, 1)
 	for _, workers := range []int{4, 8} {
-		got, again := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers})
-		assertIdentical(t, got, again)
+		got := discoverWorkers(t, rel, core.Options{Seed: 7}, workers)
+		assertIdentical(t, got, discoverWorkers(t, rel, core.Options{Seed: 7}, workers))
 		assertIdentical(t, base, got)
 	}
+	public, _ := discoverTwice(t, fdx.Options{Seed: 7})
+	assertIdentical(t, base, public)
 }
 
 // TestAccumulatorDeterministicAcrossWorkerCounts is the streaming variant:
-// batched absorption with 1, 4, and 8 workers must produce bit-for-bit
-// identical accumulated statistics, and therefore identical discovery
-// results.
+// batched absorption with the transform at 1, 4, and 8 workers must
+// produce bit-for-bit identical accumulated statistics, and therefore
+// identical discovery results.
 func TestAccumulatorDeterministicAcrossWorkerCounts(t *testing.T) {
 	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
-	run := func(workers int) *fdx.Result {
-		acc := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{Seed: 7, Workers: workers})
-		const batch = 100
-		for lo := 0; lo < rel.NumRows(); lo += batch {
-			hi := lo + batch
-			if hi > rel.NumRows() {
-				hi = rel.NumRows()
-			}
-			if err := acc.Add(rel.Slice(lo, hi)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := acc.Discover()
-		if err != nil {
+	base := accumulateWorkers(t, rel, 100, 1)
+	for _, workers := range []int{4, 8} {
+		assertIdentical(t, base, accumulateWorkers(t, rel, 100, workers))
+	}
+}
+
+// accumulateWorkers absorbs rel in batches of batch rows through a core
+// accumulator (seed 7) whose transform runs at the given worker count,
+// then discovers.
+func accumulateWorkers(t *testing.T, rel *fdx.Relation, batch, workers int) *fdx.Result {
+	t.Helper()
+	acc := core.NewAccumulator(rel.AttrNames(), core.Options{Seed: 7, Transform: core.TransformOptions{Workers: workers}})
+	for lo := 0; lo < rel.NumRows(); lo += batch {
+		if err := acc.Add(rel.Slice(lo, min(lo+batch, rel.NumRows()))); err != nil {
 			t.Fatal(err)
 		}
-		return res
 	}
-	base := run(1)
-	for _, workers := range []int{4, 8} {
-		assertIdentical(t, base, run(workers))
+	m, err := acc.Discover()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return resultOf(m, rel.AttrNames())
 }
 
 // groupedRelation builds a wide relation of g independent attribute
@@ -146,20 +155,16 @@ func groupedRelation(rng *rand.Rand, groups, rows int, noise float64) *fdx.Relat
 // TestDiscoverWideScreenedDeterministic runs discovery on a wide
 // block-structured relation where the covariance screening pass
 // genuinely splits the solve, and demands element-wise identical FDs and
-// bit-identical B across worker counts and against the float sample
-// path — the end-to-end version of the blocked solver's determinism
-// contract.
+// bit-identical B against the float sample path at transform worker
+// counts 1 and 8. The block fan-out's own worker sweep is
+// glasso.TestSolveBlocksBitIdenticalAcrossWorkers: no pipeline path runs
+// it in parallel.
 func TestDiscoverWideScreenedDeterministic(t *testing.T) {
 	rel := groupedRelation(rand.New(rand.NewSource(31)), 6, 300, 0.02)
-	run := func(opts fdx.Options) *fdx.Result {
-		t.Helper()
-		res, err := fdx.Discover(rel, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	base, err := fdx.Discover(rel, fdx.Options{Seed: 7, Lambda: 0.3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := run(fdx.Options{Seed: 7, Lambda: 0.3, Workers: 1})
 	if base.Diagnostics.GlassoBlocks < 2 {
 		t.Fatalf("GlassoBlocks = %d: screening found nothing, the blocked path is not exercised",
 			base.Diagnostics.GlassoBlocks)
@@ -167,11 +172,8 @@ func TestDiscoverWideScreenedDeterministic(t *testing.T) {
 	if len(base.FDs) == 0 {
 		t.Fatal("no FDs discovered on a relation with planted dependencies")
 	}
-	for _, workers := range []int{4, 8} {
-		assertIdentical(t, base, run(fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers}))
-	}
 	for _, workers := range []int{1, 8} {
-		ref := floatReference(t, rel, fdx.Options{Seed: 7, Lambda: 0.3, Workers: workers})
+		ref := floatReference(t, rel, core.Options{Seed: 7, Lambda: 0.3, Transform: core.TransformOptions{Workers: workers}})
 		assertIdentical(t, base, ref)
 		if ref.Diagnostics.GlassoBlocks != base.Diagnostics.GlassoBlocks {
 			t.Fatalf("bit store changed the screening partition: %d vs %d blocks",
@@ -201,20 +203,19 @@ func resultOf(m *core.Model, names []string) *fdx.Result {
 }
 
 // floatReference runs discovery from the float sample path: the unpacked
-// sample block (core.TransformContext), its stratified covariance
-// (stats.StratifiedCovariance, one stratum per attribute), then the model
-// stage (core.DiscoverFromCovarianceContext). The pipeline computes the
-// same covariance from popcount counts over the bit store; the two must
-// agree bit for bit. Only Seed, Lambda and Workers carry over from opts.
-func floatReference(t *testing.T, rel *fdx.Relation, opts fdx.Options) *fdx.Result {
+// sample block (core.TransformBitsContext, then PairBits.Dense), its
+// stratified covariance (stats.StratifiedCovariance, one stratum per
+// attribute), then the model stage (core.DiscoverFromCovarianceContext).
+// The pipeline computes the same covariance from popcount counts over the
+// bit store; the two must agree bit for bit.
+func floatReference(t *testing.T, rel *fdx.Relation, opts core.Options) *fdx.Result {
 	t.Helper()
-	copts := core.Options{Lambda: opts.Lambda, Seed: opts.Seed, Workers: opts.Workers}
-	dt, err := core.TransformContext(context.Background(), rel, copts.ResolvedTransform())
+	pb, err := core.TransformBitsContext(context.Background(), rel, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := stats.StratifiedCovariance(dt, rel.NumCols())
-	m, err := core.DiscoverFromCovarianceContext(context.Background(), s, rel.AttrNames(), copts)
+	s := stats.StratifiedCovariance(pb.Dense(), rel.NumCols())
+	m, err := core.DiscoverFromCovarianceContext(context.Background(), s, rel.AttrNames(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +229,9 @@ func floatReference(t *testing.T, rel *fdx.Relation, opts fdx.Options) *fdx.Resu
 func TestDiscoverDeterministicCompactTransform(t *testing.T) {
 	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
 	for _, workers := range []int{1, 2, 4} {
-		opts := fdx.Options{Seed: 7, Workers: workers}
-		got, again := discoverTwice(t, opts)
-		assertIdentical(t, got, again)
-		assertIdentical(t, floatReference(t, rel, opts), got)
+		got := discoverWorkers(t, rel, core.Options{Seed: 7}, workers)
+		assertIdentical(t, got, discoverWorkers(t, rel, core.Options{Seed: 7}, workers))
+		assertIdentical(t, floatReference(t, rel, core.Options{Seed: 7, Transform: core.TransformOptions{Workers: workers}}), got)
 	}
 }
 
@@ -249,10 +249,11 @@ func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
 	ref := core.NewAccumulator(rel.AttrNames(), core.Options{Seed: 7})
 	for g, lo := 0, 0; lo < rel.NumRows(); g, lo = g+1, lo+batch {
 		b := rel.Slice(lo, min(lo+batch, rel.NumRows()))
-		dt, err := core.TransformContext(context.Background(), b, core.TransformOptions{Seed: 7 + int64(g)})
+		pb, err := core.TransformBitsContext(context.Background(), b, core.Options{Seed: 7 + int64(g)})
 		if err != nil {
 			t.Fatal(err)
 		}
+		dt := pb.Dense()
 		sn := dt.Rows() / k
 		sums := make([]float64, k*k)
 		outer := linalg.NewDense(k, k)
@@ -286,17 +287,7 @@ func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
 	}
 	want := resultOf(m, rel.AttrNames())
 	for _, workers := range []int{1, 2, 4} {
-		acc := fdx.NewAccumulator(rel.AttrNames(), fdx.Options{Seed: 7, Workers: workers})
-		for lo := 0; lo < rel.NumRows(); lo += batch {
-			if err := acc.Add(rel.Slice(lo, min(lo+batch, rel.NumRows()))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := acc.Discover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdentical(t, want, got)
+		assertIdentical(t, want, accumulateWorkers(t, rel, batch, workers))
 	}
 }
 
@@ -305,14 +296,14 @@ func TestAccumulatorDeterministicCompactTransform(t *testing.T) {
 // (element-wise) and bit-identical B as a bare run, with both the parallel
 // and the sequential transform.
 func TestDiscoverDeterministicWithTelemetry(t *testing.T) {
+	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
+	hooks := obs.Hooks{Tracer: obs.New(), Metrics: obs.NewRegistry()}
 	for _, workers := range []int{4, 1} {
-		bare, _ := discoverTwice(t, fdx.Options{Seed: 7, Workers: workers})
-		traced, _ := discoverTwice(t, fdx.Options{
-			Seed:    7,
-			Workers: workers,
-			Tracer:  fdx.NewTracer(),
-			Metrics: fdx.NewMetrics(),
-		})
+		bare := discoverWorkers(t, rel, core.Options{Seed: 7}, workers)
+		traced := discoverWorkers(t, rel, core.Options{Seed: 7, Obs: hooks}, workers)
 		assertIdentical(t, bare, traced)
 	}
+	bare, _ := discoverTwice(t, fdx.Options{Seed: 7})
+	traced, _ := discoverTwice(t, fdx.Options{Seed: 7, Tracer: fdx.NewTracer(), Metrics: fdx.NewMetrics()})
+	assertIdentical(t, bare, traced)
 }

@@ -1,6 +1,9 @@
 package fdx
 
-import "fdx/internal/fdxerr"
+import (
+	"fdx/internal/core"
+	"fdx/internal/fdxerr"
+)
 
 // The typed failure taxonomy of the discovery pipeline. Every error
 // returned by Discover, DiscoverContext, and the Accumulator wraps exactly
@@ -62,11 +65,7 @@ var (
 // Fallback records one degradation step the pipeline took instead of
 // failing: the stage that failed ("glasso", "factorize", "spd-repair"),
 // the diagonal shrinkage ε applied on the retry, and the reason.
-type Fallback struct {
-	Stage   string
-	Epsilon float64
-	Reason  string
-}
+type Fallback = core.Fallback
 
 // Diagnostics reports how a discovery run degraded. A fully healthy run
 // has GlassoConverged true and every slice empty; anything else means the

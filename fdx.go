@@ -96,14 +96,6 @@ type Options struct {
 	NumericTolerance float64
 	// TextSimilarity enables 3-gram Jaccard similarity for text columns.
 	TextSimilarity bool
-	// Workers sets the number of goroutines in the pair transform and its
-	// count covariance (0 = GOMAXPROCS, 1 = sequential) and in the numeric
-	// stages — the Graphical Lasso's screened-block fan-out and the
-	// streaming accumulator's per-stratum moments (there 0 also means
-	// sequential).
-	// Every setting produces bit-for-bit identical results; see
-	// determinism_test.go.
-	Workers int
 	// Seed drives the transform's shuffling (0 is a valid fixed seed).
 	Seed int64
 	// RequireConvergence makes a Graphical Lasso estimate that still has
@@ -187,7 +179,6 @@ func coreOptions(opts Options) core.Options {
 		Threshold:          opts.Threshold,
 		RelFraction:        opts.RelFraction,
 		Ordering:           opts.Ordering,
-		Workers:            opts.Workers,
 		Seed:               opts.Seed,
 		RequireConvergence: opts.RequireConvergence,
 		Obs:                obs.Hooks{Tracer: opts.Tracer, Metrics: opts.Metrics, Labels: opts.MetricLabels},
@@ -227,7 +218,7 @@ func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (res *Res
 	copts.Obs.Count(obs.MDiscoverRuns, 1)
 	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
 	t0 := time.Now()
-	samples, err := core.TransformBitsContext(ctx, rel, copts.ResolvedTransform())
+	samples, err := core.TransformBitsContext(ctx, rel, copts)
 	if err != nil {
 		return nil, fmt.Errorf("fdx: %w", err)
 	}
@@ -272,9 +263,7 @@ func diagnosticsFromCore(d core.Diagnostics, names []string) Diagnostics {
 		GlassoSweeps:    d.GlassoSweeps,
 		GlassoConverged: d.GlassoConverged,
 		GlassoBlocks:    d.GlassoBlocks,
-	}
-	for _, f := range d.Fallbacks {
-		out.Fallbacks = append(out.Fallbacks, Fallback{Stage: f.Stage, Epsilon: f.Epsilon, Reason: f.Reason})
+		Fallbacks:       d.Fallbacks,
 	}
 	for _, c := range d.SanitizedColumns {
 		out.SanitizedColumns = append(out.SanitizedColumns, names[c])

@@ -125,16 +125,16 @@ func frameV1(payload []byte) []byte {
 }
 
 // absorbV1 transforms a batch through the float sample path under the
-// seed Absorb uses and returns its version-1 delta: per-stratum column
-// sums and outer products accumulated in float64.
-func absorbV1(t *testing.T, rel *dataset.Relation, opts core.Options, seq, global int) *deltaV1 {
+// seed Absorb uses for a stream seeded with seed (seed + global) and
+// returns its version-1 delta: per-stratum column sums and outer products
+// accumulated in float64.
+func absorbV1(t *testing.T, rel *dataset.Relation, seed int64, seq, global int) *deltaV1 {
 	t.Helper()
-	topts := opts.Transform
-	topts.Seed = opts.Seed + int64(global)
-	dt, err := core.TransformContext(context.Background(), rel, topts)
+	pb, err := core.TransformBitsContext(context.Background(), rel, core.Options{Seed: seed + int64(global)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dt := pb.Dense()
 	k := rel.NumCols()
 	sn := dt.Rows() / k
 	d := &deltaV1{seq: seq, global: global, rows: rel.NumRows(), sums: make([][]float64, k), outer: make([]*linalg.Dense, k)}
@@ -210,7 +210,7 @@ func TestV1WriterReproducesGolden(t *testing.T) {
 	st := newStateV1([]string{"zip", "city", "state"})
 	var wal, legacy []byte
 	for g, rel := range goldenBatches() {
-		d := absorbV1(t, rel, opts, g+1, g)
+		d := absorbV1(t, rel, opts.Seed, g+1, g)
 		applyV1(st, d, rel.NumRows())
 		wal = append(wal, encodeDeltaV1(d, false)...)
 		legacy = append(legacy, encodeDeltaV1(d, true)...)
@@ -297,7 +297,7 @@ func TestV1ConversionRejectsNonCounts(t *testing.T) {
 		"asymmetric": func(st *stateV1, d *deltaV1) { st.outer[1].Add(2, 0, 1); d.outer[1].Add(2, 0, 1) },
 		"counts":     func(st *stateV1, d *deltaV1) { st.count[2]-- },
 	} {
-		d := absorbV1(t, rel, opts, 1, 0)
+		d := absorbV1(t, rel, opts.Seed, 1, 0)
 		st := newStateV1([]string{"zip", "city", "state"})
 		applyV1(st, d, rel.NumRows())
 		mutate(st, d)

@@ -27,7 +27,7 @@ func benchTransform(b *testing.B, rows, cols int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TransformBitsContext(context.Background(), rel, TransformOptions{Seed: 1}); err != nil {
+		if _, err := TransformBitsContext(context.Background(), rel, Options{Seed: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,7 +69,7 @@ func TestTransformShapeAndBinary(t *testing.T) {
 			names[j] = "a" + strconv.Itoa(j)
 		}
 		rel := relFromCodes(rows, names...)
-		dt := floatTransform(rel, TransformOptions{Seed: seed})
+		dt := floatTransform(rel, Options{Seed: seed})
 		r, c := dt.Dims()
 		if r != n*k || c != k {
 			return false
@@ -92,7 +92,7 @@ func TestTransformShapeAndBinary(t *testing.T) {
 func TestTransformConstantColumnAllOnes(t *testing.T) {
 	rows := [][]int{{1, 0}, {1, 1}, {1, 2}}
 	rel := relFromCodes(rows, "c", "x")
-	dt := floatTransform(rel, TransformOptions{})
+	dt := floatTransform(rel, Options{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 1 {
 			t.Fatal("constant column must always match")
@@ -103,7 +103,7 @@ func TestTransformConstantColumnAllOnes(t *testing.T) {
 func TestTransformAllDistinctColumnAllZeros(t *testing.T) {
 	rows := [][]int{{0}, {1}, {2}, {3}}
 	rel := relFromCodes(rows, "key")
-	dt := floatTransform(rel, TransformOptions{})
+	dt := floatTransform(rel, Options{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 0 {
 			t.Fatal("all-distinct column must never match")
@@ -115,7 +115,7 @@ func TestTransformMissingNeverMatches(t *testing.T) {
 	rel := dataset.New("t", "a")
 	rel.AppendRow([]string{""})
 	rel.AppendRow([]string{""})
-	dt := floatTransform(rel, TransformOptions{})
+	dt := floatTransform(rel, Options{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 0 {
 			t.Fatal("missing cells must not match")
@@ -129,7 +129,7 @@ func TestTransformMaxRows(t *testing.T) {
 		rows[i] = []int{i % 7}
 	}
 	rel := relFromCodes(rows, "a")
-	dt := floatTransform(rel, TransformOptions{MaxRows: 10})
+	dt := floatTransform(rel, Options{Transform: TransformOptions{MaxRows: 10}})
 	if dt.Rows() != 10 {
 		t.Errorf("MaxRows ignored: %d rows", dt.Rows())
 	}
@@ -142,7 +142,7 @@ func TestTransformNumericTolerance(t *testing.T) {
 		rel.Columns[0].AppendValue(v)
 	}
 	// Scale = 8; tolerance 0.01 → |1.00−1.001| = .001 ≤ .08 matches.
-	dt := floatTransform(rel, TransformOptions{NumericTol: 0.01})
+	dt := floatTransform(rel, Options{Transform: TransformOptions{NumericTol: 0.01}})
 	ones := 0
 	for i := 0; i < dt.Rows(); i++ {
 		ones += int(dt.At(i, 0))
@@ -151,7 +151,7 @@ func TestTransformNumericTolerance(t *testing.T) {
 		t.Error("approximate numeric equality found no matches")
 	}
 	// Effectively exact tolerance → no matches.
-	dt = floatTransform(rel, TransformOptions{})
+	dt = floatTransform(rel, Options{})
 	for i := 0; i < dt.Rows(); i++ {
 		if dt.At(i, 0) != 0 {
 			t.Error("exact numeric mode matched unequal values")
@@ -198,7 +198,7 @@ func TestTransformTextSimilarity(t *testing.T) {
 		rel.Columns[0] = dataset.NewColumn("s", dataset.Text)
 		rel.Columns[0].AppendValue(a)
 		rel.Columns[0].AppendValue(b)
-		dt := floatTransform(rel, TransformOptions{TextSimilarity: true})
+		dt := floatTransform(rel, Options{Transform: TransformOptions{TextSimilarity: true}})
 		n := 0
 		for i := 0; i < dt.Rows(); i++ {
 			if dt.At(i, 0) == 1 {

@@ -53,14 +53,6 @@ type Options struct {
 	// ErrNotConverged failure. By default such an estimate is accepted as
 	// a degraded result with Diagnostics.GlassoConverged == false.
 	RequireConvergence bool
-	// Workers sets the number of goroutines in the pair transform and the
-	// count covariance over its bit store (0 = GOMAXPROCS, 1 = serial;
-	// the transform inherits it, see ResolvedTransform) and in the numeric
-	// stages — the Graphical Lasso screened-block fan-out and regularization
-	// paths, and the accumulator's per-stratum moments (there 0 also means
-	// serial). Results are bit-for-bit identical at any worker count; see
-	// internal/par for the chunking contract that guarantees it.
-	Workers int
 	// Seed drives the transform shuffle.
 	Seed int64
 	// Transform holds the pair-transformation options.
@@ -92,18 +84,6 @@ func (o *Options) defaults() {
 	if o.Ordering == "" {
 		o.Ordering = ordering.Heuristic
 	}
-}
-
-// ResolvedTransform returns the pair-transform options the pipeline runs
-// with: Transform plus the Seed, Workers and telemetry sinks it inherits
-// from o (it never has independently configured ones). A caller that runs
-// the transform itself takes its options from here.
-func (o Options) ResolvedTransform() TransformOptions {
-	t := o.Transform
-	t.Seed = o.Seed
-	t.Workers = o.Workers
-	t.Obs = o.Obs
-	return t
 }
 
 // Model is the fitted FDX model: the estimated precision matrix, the
@@ -176,7 +156,7 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 	if k == 0 {
 		return &Model{Theta: linalg.NewDense(0, 0), B: linalg.NewDense(0, 0), Diagnostics: Diagnostics{GlassoConverged: true}, Trace: run}, nil
 	}
-	pb, err := TransformBitsContext(ctx, rel, opts.ResolvedTransform())
+	pb, err := TransformBitsContext(ctx, rel, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -193,7 +173,7 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (
 // bit-packed pair-sample store (see TransformBitsContext) — the model
 // phase apart from the transform, which paper Fig. 6 times separately. The
 // covariance comes from popcount co-occurrence counts (fanned out over
-// Workers), bit-identical to the float estimators in
+// Transform.Workers), bit-identical to the float estimators in
 // internal/stats on the unpacked block.
 func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, opts Options) (*Model, error) {
 	if pb.k != len(names) {
@@ -203,9 +183,9 @@ func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, 
 	csp := opts.Obs.StartStage("covariance")
 	var s *linalg.Dense
 	if opts.PooledCovariance {
-		s = pb.Covariance(opts.Workers)
+		s = pb.Covariance(opts.Transform.Workers)
 	} else {
-		s = pb.StratifiedCovariance(opts.Workers)
+		s = pb.StratifiedCovariance(opts.Transform.Workers)
 	}
 	csp.Attr("dim", len(names))
 	csp.End()
@@ -375,7 +355,7 @@ func fitLadder(ctx context.Context, s *linalg.Dense, diag *Diagnostics, opts Opt
 		rsp.Attr("epsilon", eps)
 		ropts := opts
 		ropts.Obs = opts.Obs.Under(rsp)
-		res, err := glasso.SolveBlocksContext(ctx, trial, glasso.Options{Lambda: opts.Lambda, Workers: opts.Workers, Obs: ropts.Obs})
+		res, err := glasso.SolveBlocksContext(ctx, trial, glasso.Options{Lambda: opts.Lambda, Obs: ropts.Obs})
 		if err != nil {
 			rsp.End()
 			if errors.Is(err, fdxerr.ErrCancelled) {

@@ -13,14 +13,14 @@ import (
 // transform's per-code textGrams.jaccard must reproduce (TestJaccard3Gram).
 
 // floatTransform is the pair transform's float sample block
-// (TransformContext under a context that never expires): n·k rows, one
-// stratum of n pairs per attribute, k 0/1 columns.
-func floatTransform(rel *dataset.Relation, opts TransformOptions) *linalg.Dense {
-	dt, err := TransformContext(context.Background(), rel, opts)
+// (TransformBitsContext under a context that never expires, unpacked):
+// n·k rows, one stratum of n pairs per attribute, k 0/1 columns.
+func floatTransform(rel *dataset.Relation, opts Options) *linalg.Dense {
+	pb, err := TransformBitsContext(context.Background(), rel, opts)
 	if err != nil {
 		panic(err)
 	}
-	return dt
+	return pb.Dense()
 }
 
 // formatFDs renders the model's FDs one per line using attribute names.

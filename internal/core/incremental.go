@@ -274,21 +274,21 @@ func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, 
 	bsp.Attr("global", global)
 	bsp.Attr("rows", n)
 	h := a.opts.Obs.Under(bsp)
-	topts := a.opts.ResolvedTransform()
-	topts.defaults()
-	topts.Obs = h
-	topts.Seed = a.opts.Seed + int64(global)
-	sn, _ := transformDims(rel, &topts)
+	bopts := a.opts
+	bopts.Transform.defaults()
+	bopts.Seed += int64(global)
+	bopts.Obs = h
+	sn, _ := transformDims(rel, &bopts.Transform)
 	// The bit store's buffer is recycled through dtPool.
 	db := dtPool.Get().(*dtBuf)
 	pb := newPairBits(sn, k, db.words)
 	db.words = pb.bits
-	if err := transformInto(context.Background(), rel, topts, pb); err != nil {
+	if err := transformInto(context.Background(), rel, bopts, pb); err != nil {
 		return nil, err
 	}
 	d := &BatchDelta{Seq: a.batches + 1, Global: global, Rows: n}
 	asp := h.StartStage("accumulate")
-	d.Sums, d.Co = pb.moments(a.opts.Workers)
+	d.Sums, d.Co = pb.moments(1)
 	dtPool.Put(db)
 	asp.End()
 	if err := a.ApplyDelta(d); err != nil {

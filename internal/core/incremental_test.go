@@ -41,8 +41,8 @@ func TestAccumulatorSingleBatchMatchesBatchCovariance(t *testing.T) {
 	// MaxRows 100 samples a quarter of the batch: each stratum then holds
 	// 100 pairs, and the covariance must divide by that count.
 	for _, maxRows := range []int{0, 100} {
-		topts := TransformOptions{Seed: 7, MaxRows: maxRows}
-		a := NewAccumulator(rel.AttrNames(), Options{Seed: 7, Transform: topts})
+		opts := Options{Seed: 7, Transform: TransformOptions{MaxRows: maxRows}}
+		a := NewAccumulator(rel.AttrNames(), opts)
 		if err := a.Add(rel); err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestAccumulatorSingleBatchMatchesBatchCovariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dt := floatTransform(rel, topts)
+		dt := floatTransform(rel, opts)
 		want := stats.StratifiedCovariance(dt, rel.NumCols())
 		if d := linalg.MaxAbsDiff(got, want); d > 1e-12 {
 			t.Errorf("MaxRows %d: single-batch covariance differs from batch estimator by %v", maxRows, d)
@@ -104,7 +104,7 @@ func TestAccumulatorMatchesFullRecomputeApproximately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dt := floatTransform(full, TransformOptions{Seed: 8})
+	dt := floatTransform(full, Options{Seed: 8})
 	batchCov := stats.StratifiedCovariance(dt, full.NumCols())
 	// Same sign structure and magnitudes within a loose tolerance. The
 	// batches draw fresh random FD lookup tables, so only coarse agreement

@@ -20,7 +20,7 @@ func TestFaultSlowStageVisibleInTransformSpan(t *testing.T) {
 	faults.Arm(faults.SlowStage, faults.Config{Times: 1, Delay: delay})
 
 	tr := obs.New()
-	opts := Options{Workers: 1, Obs: obs.Hooks{Tracer: tr}}
+	opts := Options{Transform: TransformOptions{Workers: 1}, Obs: obs.Hooks{Tracer: tr}}
 	if _, err := Discover(fdRelation(60), opts); err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestFaultSlowStageVisibleInSweepSpan(t *testing.T) {
 	// Transform fault-free first, then discover from the samples with the
 	// fault armed: the only faults.Sleep left on the path is the sweep's.
 	rel := fdRelation(60)
-	pb, err := TransformBitsContext(context.Background(), rel, TransformOptions{})
+	pb, err := TransformBitsContext(context.Background(), rel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFaultSlowStageVisibleInSweepSpan(t *testing.T) {
 
 	tr := obs.New()
 	faults.Arm(faults.SlowStage, faults.Config{Times: 1, Delay: delay})
-	opts := Options{Workers: 1, Obs: obs.Hooks{Tracer: tr}}
+	opts := Options{Transform: TransformOptions{Workers: 1}, Obs: obs.Hooks{Tracer: tr}}
 	if _, err := DiscoverFromBitsContext(context.Background(), pb, names, opts); err != nil {
 		t.Fatalf("DiscoverFromBitsContext: %v", err)
 	}

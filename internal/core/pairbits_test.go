@@ -23,11 +23,11 @@ import (
 
 // referenceTransform is the oracle transform: Alg. 2 written directly,
 // serially, with the comparison-based stable sort and the full difference
-// operator on every cell.
-func referenceTransform(rel *dataset.Relation, opts TransformOptions) *linalg.Dense {
+// operator on every cell, shuffling with seed.
+func referenceTransform(rel *dataset.Relation, seed int64, opts TransformOptions) *linalg.Dense {
 	opts.defaults()
 	n, k := rel.NumRows(), rel.NumCols()
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
@@ -197,26 +197,26 @@ func TestPairBitsMatchFloatReference(t *testing.T) {
 	cases := []struct {
 		name string
 		rel  *dataset.Relation
-		opts TransformOptions
+		opts Options
 	}{
-		{"categorical", makeFDRelation(rng, 200, 0.05), TransformOptions{Seed: 1}},
-		{"mixed-exact", mixed, TransformOptions{Seed: 2}},
-		{"numeric-tolerance-text-similarity", mixed, TransformOptions{Seed: 3, NumericTol: 0.01, TextSimilarity: true}},
-		{"max-rows", mixed, TransformOptions{Seed: 4, MaxRows: 77, NumericTol: 0.01}},
-		{"single-attribute", mixed.Project(0), TransformOptions{Seed: 5}},
-		{"n-not-word-multiple-past-poll", makeFDRelation(rng, 4100, 0.02).Project(0, 1, 3), TransformOptions{Seed: 6}},
-		{"two-rows", mixed.Slice(0, 2), TransformOptions{Seed: 7}},
-		{"one-row", mixed.Slice(0, 1), TransformOptions{Seed: 8}},
+		{"categorical", makeFDRelation(rng, 200, 0.05), Options{Seed: 1}},
+		{"mixed-exact", mixed, Options{Seed: 2}},
+		{"numeric-tolerance-text-similarity", mixed, Options{Seed: 3, Transform: TransformOptions{NumericTol: 0.01, TextSimilarity: true}}},
+		{"max-rows", mixed, Options{Seed: 4, Transform: TransformOptions{MaxRows: 77, NumericTol: 0.01}}},
+		{"single-attribute", mixed.Project(0), Options{Seed: 5}},
+		{"n-not-word-multiple-past-poll", makeFDRelation(rng, 4100, 0.02).Project(0, 1, 3), Options{Seed: 6}},
+		{"two-rows", mixed.Slice(0, 2), Options{Seed: 7}},
+		{"one-row", mixed.Slice(0, 1), Options{Seed: 8}},
 	}
 	for _, c := range cases {
-		ref := referenceTransform(c.rel, c.opts)
+		ref := referenceTransform(c.rel, c.opts.Seed, c.opts.Transform)
 		k := c.rel.NumCols()
 		wantStrat := stats.StratifiedCovariance(ref, k)
 		wantPooled := stats.Covariance(ref)
 		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			what := fmt.Sprintf("%s/workers=%d", c.name, workers)
 			opts := c.opts
-			opts.Workers = workers
+			opts.Transform.Workers = workers
 			pb, err := TransformBitsContext(context.Background(), c.rel, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
@@ -237,7 +237,7 @@ func TestAbsorbDeltaMatchesFloatOracle(t *testing.T) {
 	const batch = 130 // leaves a short final batch; neither is a multiple of 64
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		for _, maxRows := range []int{0, 50} {
-			opts := Options{Seed: 3, Workers: workers, Transform: TransformOptions{
+			opts := Options{Seed: 3, Transform: TransformOptions{
 				Workers: workers, MaxRows: maxRows, NumericTol: 0.01, TextSimilarity: true,
 			}}
 			acc := NewAccumulator(rel.AttrNames(), opts)
@@ -254,9 +254,7 @@ func TestAbsorbDeltaMatchesFloatOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				topts := opts.Transform
-				topts.Seed = opts.Seed + int64(g)
-				ref := referenceTransform(b, topts)
+				ref := referenceTransform(b, opts.Seed+int64(g), opts.Transform)
 				k := b.NumCols()
 				sn := ref.Rows() / k
 				what := fmt.Sprintf("workers=%d maxRows=%d global=%d", workers, maxRows, g)

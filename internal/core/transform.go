@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -16,9 +15,9 @@ import (
 )
 
 // TransformOptions configures the tuple-pair transformation (paper Alg. 2).
+// The shuffle seed and the telemetry sinks are the pipeline's (Options.Seed
+// and Options.Obs).
 type TransformOptions struct {
-	// Seed drives the initial row shuffle.
-	Seed int64
 	// MaxRows caps the number of input tuples used (0 = all). When the
 	// input is larger, a uniform row sample is taken first; the paper
 	// notes sampling as the remedy for the transform's self-join cost on
@@ -31,15 +30,11 @@ type TransformOptions struct {
 	// TextSimilarity enables Jaccard 3-gram similarity ≥ textThreshold as
 	// the text difference operator; otherwise text compares exactly.
 	TextSimilarity bool
-	// Workers sets the number of goroutines processing attribute blocks
-	// (0 = GOMAXPROCS, 1 = sequential); inherited from the pipeline options
-	// by Options.ResolvedTransform. Each attribute's sorted block is
+	// Workers sets the number of goroutines processing attribute blocks,
+	// and of the batch count covariance over the resulting bit store
+	// (0 = GOMAXPROCS, 1 = sequential). Each attribute's sorted block is
 	// independent, so the output is identical at any worker count.
 	Workers int
-	// Obs carries the optional telemetry sinks; inherited from the
-	// pipeline options by Options.ResolvedTransform. Never part of the
-	// checkpoint fingerprint.
-	Obs obs.Hooks
 }
 
 // textThreshold is the 3-gram Jaccard similarity at or above which two text
@@ -54,13 +49,13 @@ func (o *TransformOptions) defaults() {
 	}
 }
 
-// TransformContext is the float view of TransformBitsContext — the bit
-// store unpacked into an n·k × k sample block (PairBits.Dense) — for
-// callers that bring their own float estimators; the pipeline itself
-// consumes the bits. No production path calls it: it stays exported for
-// the benchmark's traced run and as the tests' float reference.
+// TransformContext is the float view of TransformBitsContext at seed 0
+// with no telemetry — the bit store unpacked into an n·k × k sample block
+// (PairBits.Dense) — for callers that bring their own float estimators;
+// the pipeline itself consumes the bits. No production path calls it: it
+// stays exported for the benchmark's traced run.
 func TransformContext(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*linalg.Dense, error) {
-	pb, err := TransformBitsContext(ctx, rel, opts)
+	pb, err := TransformBitsContext(ctx, rel, Options{Transform: opts})
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +63,8 @@ func TransformContext(ctx context.Context, rel *dataset.Relation, opts Transform
 }
 
 // TransformBitsContext implements Algorithm 2 into the bit-packed sample
-// store (see PairBits): for every attribute, sort the (shuffled) relation
+// store (see PairBits) under opts.Transform, shuffling with opts.Seed and
+// reporting to opts.Obs: for every attribute, sort the (shuffled) relation
 // by that attribute, pair each tuple with its successor under a circular
 // shift, and record per pair which attributes agree — k strata of n pairs.
 //
@@ -76,9 +72,9 @@ func TransformContext(ctx context.Context, rel *dataset.Relation, opts Transform
 // unknown value gives no evidence that the pair agrees. Workers poll the
 // context between attribute blocks and every few thousand pair rows, and
 // a wrapped ctx.Err() is returned promptly on expiry.
-func TransformBitsContext(ctx context.Context, rel *dataset.Relation, opts TransformOptions) (*PairBits, error) {
-	opts.defaults()
-	n, k := transformDims(rel, &opts)
+func TransformBitsContext(ctx context.Context, rel *dataset.Relation, opts Options) (*PairBits, error) {
+	opts.Transform.defaults()
+	n, k := transformDims(rel, &opts.Transform)
 	pb := newPairBits(n, k, nil)
 	if n == 0 || k == 0 {
 		return pb, nil
@@ -118,8 +114,9 @@ const pollPairs = 4096
 
 // transformInto is the core of the pair transform, writing the bit-packed
 // sample block into out (shape per transformDims; every word is written,
-// so recycled buffers need no zeroing). opts must have defaults applied.
-func transformInto(ctx context.Context, rel *dataset.Relation, opts TransformOptions, out *PairBits) error {
+// so recycled buffers need no zeroing). opts.Transform must have defaults
+// applied.
+func transformInto(ctx context.Context, rel *dataset.Relation, opts Options, out *PairBits) error {
 	tsp := opts.Obs.StartStage("transform")
 	defer tsp.End()
 	n := rel.NumRows()
@@ -133,9 +130,9 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts TransformOpt
 		rows[i] = i
 	}
 	rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	if opts.MaxRows > 0 && n > opts.MaxRows {
-		rows = rows[:opts.MaxRows]
-		n = opts.MaxRows
+	if m := opts.Transform.MaxRows; m > 0 && n > m {
+		rows = rows[:m]
+		n = m
 	}
 
 	// Pre-compute the per-column comparison contexts — numeric scales for
@@ -143,7 +140,7 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts TransformOpt
 	// row-major copy of the sampled tuples' codes: position i (tuple
 	// rows[i]) holds its k codes contiguously, so a pair reads both
 	// tuples from two short runs instead of 2k scattered column cells.
-	ps := &pairScan{k: k, rows: rows, codes: grow(&bufs.codes, n*k), ctxs: make([]colCtx, k), opts: &opts, out: out}
+	ps := &pairScan{k: k, rows: rows, codes: grow(&bufs.codes, n*k), ctxs: make([]colCtx, k), opts: &opts.Transform, out: out}
 	maxCard := 0
 	for j, col := range rel.Columns {
 		// Building a text column's 3-gram sets scans every distinct value;
@@ -156,7 +153,7 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts TransformOpt
 			ps.ctxs[j].scale = numericScale(col, rows)
 			ps.approx = append(ps.approx, j)
 		}
-		if col.Type == dataset.Text && opts.TextSimilarity {
+		if col.Type == dataset.Text && opts.Transform.TextSimilarity {
 			ps.ctxs[j].grams = buildTextGrams(col)
 			ps.approx = append(ps.approx, j)
 		}
@@ -169,14 +166,7 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts TransformOpt
 		}
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		//fdx:lint-ignore detsource worker count only; chunking is fixed-order and results are count-invariant
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
+	workers := min(resolveWorkers(opts.Transform.Workers), k)
 	tsp.Attr("rows", n)
 	tsp.Attr("attrs", k)
 	tsp.Attr("workers", workers)

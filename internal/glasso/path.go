@@ -21,8 +21,9 @@ type PathResult struct {
 // start (rather than each solve chaining off its neighbor), the remaining
 // solves are independent and fan out across opts.Workers goroutines, and
 // the result at every penalty is identical at any worker count. Results
-// are returned in the caller's original order. The sparsity sweep of the
-// paper's Table 8 is a Path call.
+// are returned in the caller's original order. No pipeline path calls it:
+// the sparsity sweep of the paper's Table 8 (experiments.Table8) runs one
+// full discovery per penalty.
 func Path(s *linalg.Dense, lambdas []float64, opts Options) ([]PathResult, error) {
 	type indexed struct {
 		lambda float64

@@ -9,17 +9,16 @@ import (
 	"strings"
 	"time"
 
-	"fdx/internal/core"
+	"fdx"
 	"fdx/internal/dataset"
 	"fdx/internal/ind"
 	"fdx/internal/ucc"
-	"fdx/internal/violations"
 )
 
 // Options configures report generation.
 type Options struct {
 	// Discovery holds the FDX options.
-	Discovery core.Options
+	Discovery fdx.Options
 	// KeyError is the approximate-key budget (default 0.01).
 	KeyError float64
 	// MaxKeySize caps key combination size (default 3).
@@ -56,7 +55,7 @@ type Report struct {
 	Name      string
 	Rows      int
 	Columns   []ColumnProfile
-	FDs       []core.FD
+	FDs       []fdx.FD
 	AttrNames []string
 	Keys      []ucc.UCC
 	// ForeignKeys are the unary inclusion dependencies with key-like
@@ -64,33 +63,23 @@ type Report struct {
 	ForeignKeys []ind.IND
 	// ErrorRate is the fraction of rows violating at least one FD.
 	ErrorRate float64
-	// Model is the fitted FDX model (heatmap etc.).
-	Model *core.Model
 }
 
 // Build profiles the relation.
 func Build(rel *dataset.Relation, opts Options) (*Report, error) {
 	opts.defaults()
-	model, err := core.Discover(rel, opts.Discovery)
+	res, err := fdx.Discover(rel, opts.Discovery)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
 		Name:      rel.Name,
 		Rows:      rel.NumRows(),
-		FDs:       model.FDs,
+		FDs:       res.FDs,
 		AttrNames: rel.AttrNames(),
-		Model:     model,
-	}
-	inFD := map[int]bool{}
-	for _, fd := range model.FDs {
-		inFD[fd.RHS] = true
-		for _, a := range fd.LHS {
-			inFD[a] = true
-		}
 	}
 	n := rel.NumRows()
-	for j, col := range rel.Columns {
+	for _, col := range rel.Columns {
 		miss := 0.0
 		if n > 0 {
 			miss = float64(col.MissingCount()) / float64(n)
@@ -100,7 +89,7 @@ func Build(rel *dataset.Relation, opts Options) (*Report, error) {
 			Type:        col.Type,
 			Cardinality: col.Cardinality(),
 			MissingRate: miss,
-			InFD:        inFD[j],
+			InFD:        res.HasFDWith(col.Name),
 		})
 	}
 	rep.Keys = ucc.Discover(rel, ucc.Options{
@@ -110,7 +99,9 @@ func Build(rel *dataset.Relation, opts Options) (*Report, error) {
 		Deadline: time.Now().Add(opts.KeyBudget),
 	})
 	rep.ForeignKeys = ind.ForeignKeyCandidates(ind.Discover(rel, ind.Options{MaxError: opts.KeyError}))
-	rep.ErrorRate = violations.ErrorRate(rel, model.FDs)
+	if rep.ErrorRate, err = fdx.ErrorRate(rel, res.FDs); err != nil {
+		return nil, err
+	}
 	return rep, nil
 }
 
@@ -134,7 +125,7 @@ func (r *Report) String() string {
 		sb.WriteString("  (none)\n")
 	}
 	for _, fd := range r.FDs {
-		fmt.Fprintf(&sb, "  %s\n", fd.Format(r.AttrNames))
+		fmt.Fprintf(&sb, "  %s\n", fd)
 	}
 	sb.WriteString("\napproximate keys:\n")
 	if len(r.Keys) == 0 {

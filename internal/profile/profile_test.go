@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"fdx/internal/core"
+	"fdx"
 	"fdx/internal/dataset"
 )
 
@@ -27,7 +27,7 @@ func buildRel(rng *rand.Rand, n int) *dataset.Relation {
 func TestBuildReport(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rel := buildRel(rng, 600)
-	rep, err := Build(rel, Options{Discovery: core.Options{Seed: 1}})
+	rep, err := Build(rel, Options{Discovery: fdx.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBuildEmptyFDReport(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		rel.AppendRow([]string{strconv.Itoa(rng.Intn(8)), strconv.Itoa(rng.Intn(8))})
 	}
-	rep, err := Build(rel, Options{Discovery: core.Options{Seed: 2}})
+	rep, err := Build(rel, Options{Discovery: fdx.Options{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,75 @@ func TestCrashServeRestartBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCrashServeRestartManifestWithWorkers: a manifest whose options
+// still carry "workers" (the session options once had a worker count)
+// restores through New, which skips the unknown key, and the stream
+// resumes bit-identically to an uninterrupted accumulator fed the same
+// batches.
+func TestCrashServeRestartManifestWithWorkers(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *Server {
+		sv, err := New(Config{DataDir: dir, CheckpointEvery: 2, RequestTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return sv
+	}
+	svA := mk()
+	rec, body := do(t, svA, "POST", "/v1/sessions", "acme",
+		createRequest{ID: "s1", Attributes: testAttrs, Options: SessionOptions{Seed: 3}})
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("create: status %d body %v", rec.Code, body)
+	}
+	const batches, rowsPer = 5, 40
+	for i := 0; i < 3; i++ {
+		ingest(t, svA, "s1", "acme", i+1, rowsPer, i*rowsPer)
+	}
+
+	path := filepath.Join(dir, "s1"+checkpointSuffix+manifestSuffix)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["options"].(map[string]any)["workers"] = 4
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svB := mk()
+	for i := 3; i < batches; i++ {
+		ingest(t, svB, "s1", "acme", i+1, rowsPer, i*rowsPer)
+	}
+	gotB := discoverB(t, svB, "s1", "acme")
+
+	acc := fdx.NewAccumulator(testAttrs, fdx.Options{Seed: 3})
+	for i := 0; i < batches; i++ {
+		rel := fdx.NewRelation("base", testAttrs...)
+		for _, row := range genRows(rowsPer, i*rowsPer) {
+			if err := rel.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := acc.Add(rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := acc.Discover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotB, res.B) {
+		t.Errorf("B after restoring a manifest with workers differs from the uninterrupted baseline")
+	}
+}
+
 // TestCrashServeRestartQuotaReseed: restored sessions count against their
 // tenant's session quota after a restart.
 func TestCrashServeRestartQuotaReseed(t *testing.T) {

@@ -272,6 +272,22 @@ func TestServeBadInput(t *testing.T) {
 	}
 }
 
+// TestServeCreateRejectsWorkersOption: the session wire options carry no
+// worker count, so a create body that sends one names an unknown field
+// and is bad input like any other.
+func TestServeCreateRejectsWorkersOption(t *testing.T) {
+	sv := newServer(t, nil)
+	rec, body := do(t, sv, "POST", "/v1/sessions", "acme", map[string]any{
+		"id": "s1", "attributes": testAttrs, "options": map[string]any{"workers": 2},
+	})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("create with options.workers: status %d body %v, want 400 %s", rec.Code, body, CodeBadInput)
+	}
+	if code := errCode(t, body); code != CodeBadInput {
+		t.Errorf("create with options.workers: code %s, want %s", code, CodeBadInput)
+	}
+}
+
 func TestServeDrainSheds(t *testing.T) {
 	sv := newServer(t, func(c *Config) { c.DrainTimeout = time.Second })
 	createSession(t, sv, "s1", "acme")

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,7 +32,6 @@ type SessionOptions struct {
 	MaxRows            int     `json:"max_rows,omitempty"`
 	NumericTolerance   float64 `json:"numeric_tolerance,omitempty"`
 	TextSimilarity     bool    `json:"text_similarity,omitempty"`
-	Workers            int     `json:"workers,omitempty"`
 	Seed               int64   `json:"seed,omitempty"`
 	RequireConvergence bool    `json:"require_convergence,omitempty"`
 }
@@ -50,7 +50,6 @@ func (o SessionOptions) options(m *fdx.Metrics, tenant string) fdx.Options {
 		MaxRows:            o.MaxRows,
 		NumericTolerance:   o.NumericTolerance,
 		TextSimilarity:     o.TextSimilarity,
-		Workers:            o.Workers,
 		Seed:               o.Seed,
 		RequireConvergence: o.RequireConvergence,
 		Metrics:            m,
@@ -262,7 +261,7 @@ func (st *sessionStore) create(id, tenant string, names []string, wopts SessionO
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.sessions[id]; ok {
-		if prev.tenant == tenant && prev.wopts == wopts && equalNames(prev.names, names) {
+		if prev.tenant == tenant && prev.wopts == wopts && slices.Equal(prev.names, names) {
 			return prev, false, nil // idempotent re-create
 		}
 		return nil, false, serveError(409, CodeConflict, "session "+id+" exists with different parameters")
@@ -426,16 +425,4 @@ func writeManifest(path string, m manifest) error {
 		return err
 	}
 	return os.Rename(tmp, path)
-}
-
-func equalNames(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

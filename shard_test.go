@@ -32,45 +32,43 @@ func batchedBaseline(t *testing.T, rel *fdx.Relation, opts fdx.Options, batchRow
 }
 
 // TestShardedDiscoverDeterministicSweep is the library-level crash-free
-// equivalence sweep: splitting the batch grid across shards ∈ {1,2,4,7}
-// and transform workers ∈ {1,4}, building each shard with AddAt on its
-// span of global batch indices, and folding with MergeShards must
-// reproduce the sequential result exactly — same FD list element-wise and
-// bit-identical B. The per-batch transform seed depends only on the global
-// batch index, so shard boundaries cannot leak into the statistics.
+// equivalence sweep: splitting the batch grid across shards ∈ {1,2,4,7},
+// building each shard with AddAt on its span of global batch indices,
+// and folding with MergeShards must reproduce the sequential result
+// exactly — same FD list element-wise and bit-identical B. The per-batch
+// transform seed depends only on the global batch index, so shard
+// boundaries cannot leak into the statistics.
 func TestShardedDiscoverDeterministicSweep(t *testing.T) {
 	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
 	const batchRows = 50
 	totalBatches := (rel.NumRows() + batchRows - 1) / batchRows
 
-	for _, workers := range []int{1, 4} {
-		opts := fdx.Options{Seed: 7, Workers: workers}
-		want := batchedBaseline(t, rel, opts, batchRows)
-		for _, shards := range []int{1, 2, 4, 7} {
-			accs := make([]*fdx.Accumulator, 0, shards)
-			for _, span := range fdx.ShardSpans(totalBatches, shards) {
-				acc := fdx.NewAccumulator(rel.AttrNames(), opts)
-				for g := span.Lo; g < span.Hi; g++ {
-					lo, hi := g*batchRows, (g+1)*batchRows
-					if hi > rel.NumRows() {
-						hi = rel.NumRows()
-					}
-					if err := acc.AddAt(rel.Slice(lo, hi), g); err != nil {
-						t.Fatal(err)
-					}
+	opts := fdx.Options{Seed: 7}
+	want := batchedBaseline(t, rel, opts, batchRows)
+	for _, shards := range []int{1, 2, 4, 7} {
+		accs := make([]*fdx.Accumulator, 0, shards)
+		for _, span := range fdx.ShardSpans(totalBatches, shards) {
+			acc := fdx.NewAccumulator(rel.AttrNames(), opts)
+			for g := span.Lo; g < span.Hi; g++ {
+				lo, hi := g*batchRows, (g+1)*batchRows
+				if hi > rel.NumRows() {
+					hi = rel.NumRows()
 				}
-				accs = append(accs, acc)
+				if err := acc.AddAt(rel.Slice(lo, hi), g); err != nil {
+					t.Fatal(err)
+				}
 			}
-			merged, err := fdx.MergeShards(accs)
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: MergeShards: %v", shards, workers, err)
-			}
-			got, err := merged.Discover()
-			if err != nil {
-				t.Fatalf("shards=%d workers=%d: Discover: %v", shards, workers, err)
-			}
-			assertIdentical(t, want, got)
+			accs = append(accs, acc)
 		}
+		merged, err := fdx.MergeShards(accs)
+		if err != nil {
+			t.Fatalf("shards=%d: MergeShards: %v", shards, err)
+		}
+		got, err := merged.Discover()
+		if err != nil {
+			t.Fatalf("shards=%d: Discover: %v", shards, err)
+		}
+		assertIdentical(t, want, got)
 	}
 }
 

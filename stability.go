@@ -6,18 +6,11 @@ import (
 	"fdx/internal/core"
 )
 
-// StabilityOptions configures DiscoverStable.
-type StabilityOptions struct {
-	// Runs is the number of resampled discovery runs (default 20).
-	Runs int
-	// MinFrequency is the fraction of runs an edge must recur in to be
-	// kept (default 0.7).
-	MinFrequency float64
-	// SampleFraction is the fraction of tuples drawn per run (default 0.8).
-	SampleFraction float64
-	// Seed drives resampling.
-	Seed int64
-}
+// StabilityOptions configures DiscoverStable: Runs resampled discovery
+// runs (default 20), each on a SampleFraction of the tuples drawn without
+// replacement (default 0.8) with resampling driven by Seed, keeping the
+// edges that recur in at least MinFrequency of the runs (default 0.7).
+type StabilityOptions = core.StabilityOptions
 
 // EdgeStability reports how often a dependency edge recurred across the
 // resampled runs.
@@ -38,12 +31,7 @@ func DiscoverStable(rel *Relation, opts Options, sopts StabilityOptions) (fds []
 	if verr := core.ValidateRelation(rel); verr != nil {
 		return nil, nil, fmt.Errorf("fdx: %w", verr)
 	}
-	stable, edges, err := core.StabilitySelection(rel, coreOptions(opts), core.StabilityOptions{
-		Runs:           sopts.Runs,
-		MinFrequency:   sopts.MinFrequency,
-		SampleFraction: sopts.SampleFraction,
-		Seed:           sopts.Seed,
-	})
+	stable, edges, err := core.StabilitySelection(rel, coreOptions(opts), sopts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,13 +5,10 @@ import (
 )
 
 // TableauPattern is one row of a conditional-FD tableau: a constant LHS
-// assignment, its dominant RHS value, and how well the FD holds there.
-type TableauPattern struct {
-	LHSValues  []string
-	RHSValue   string
-	Support    int
-	Confidence float64
-}
+// assignment (LHSValues, in the FD's LHS order), its dominant RHS value,
+// the number of tuples matching the assignment (Support) and the fraction
+// of them agreeing with RHSValue (Confidence).
+type TableauPattern = cfd.Pattern
 
 // Tableau refines an approximate FD into its conditional form: per
 // LHS-pattern support and confidence, separating the subdomains where the
@@ -24,15 +21,11 @@ type Tableau struct {
 	GlobalConfidence float64
 }
 
-// TableauOptions configures BuildTableau.
-type TableauOptions struct {
-	// MinSupport drops patterns with fewer matching tuples (default 2).
-	MinSupport int
-	// MinConfidence drops patterns below this confidence (default 0).
-	MinConfidence float64
-	// MaxPatterns caps the tableau size (default 64).
-	MaxPatterns int
-}
+// TableauOptions configures BuildTableau. MinSupport drops patterns with
+// fewer matching tuples (default 2), MinConfidence drops patterns below
+// that confidence (default 0: keep all), and MaxPatterns caps the tableau
+// size, keeping the highest-support patterns (default 64).
+type TableauOptions = cfd.Options
 
 // BuildTableau computes the conditional refinement of a discovered FD —
 // the pattern-tableau reading of conditional functional dependencies.
@@ -41,21 +34,8 @@ func BuildTableau(rel *Relation, fd FD, opts TableauOptions) (*Tableau, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := cfd.Build(rel, cf, cfd.Options{
-		MinSupport:    opts.MinSupport,
-		MinConfidence: opts.MinConfidence,
-		MaxPatterns:   opts.MaxPatterns,
-	})
-	out := &Tableau{FD: fd, GlobalConfidence: t.GlobalConfidence}
-	for _, p := range t.Patterns {
-		out.Patterns = append(out.Patterns, TableauPattern{
-			LHSValues:  p.LHSValues,
-			RHSValue:   p.RHSValue,
-			Support:    p.Support,
-			Confidence: p.Confidence,
-		})
-	}
-	return out, nil
+	t := cfd.Build(rel, cf, opts)
+	return &Tableau{FD: fd, Patterns: t.Patterns, GlobalConfidence: t.GlobalConfidence}, nil
 }
 
 // CleanPatterns returns the patterns holding exactly (confidence 1).
