@@ -77,6 +77,16 @@ func discoverWorkers(t *testing.T, rel *fdx.Relation, opts core.Options, workers
 	return resultOf(m, rel.AttrNames())
 }
 
+// TestDiscoverDeterministicParallel checks that the parallel transform does
+// not perturb results: 4 workers must match both itself and a sequential
+// run exactly.
+func TestDiscoverDeterministicParallel(t *testing.T) {
+	rel := noisyAddressRelation(rand.New(rand.NewSource(11)), 400, 0.03)
+	p1 := discoverWorkers(t, rel, core.Options{Seed: 7}, 4)
+	assertIdentical(t, p1, discoverWorkers(t, rel, core.Options{Seed: 7}, 4))
+	assertIdentical(t, discoverWorkers(t, rel, core.Options{Seed: 7}, 1), p1)
+}
+
 // TestDiscoverDeterministicAcrossWorkerCounts sweeps the transform and
 // count-covariance worker count and demands element-wise identical FDs and
 // bit-for-bit identical B at 1, 4, and 8 workers, run to run and against
