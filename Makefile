@@ -80,9 +80,11 @@ test-shard:
 	$(GO) test -race -run 'Shard' ./cmd/fdx ./internal/serve/... ./cmd/fdxd .
 
 # Short local fuzz campaigns over the public entry points. FuzzRowsBody
-# caps input minimization, which is slow in the serve test binary.
+# caps input minimization, which is slow in the serve test binary. The
+# Discover targets are anchored because -fuzz must match exactly one.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDiscover -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDiscover$$' -fuzztime 30s .
+	$(GO) test -run '^$$' -fuzz '^FuzzDiscoverOptions$$' -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzMergeSnapshot -fuzztime 30s .
 	$(GO) test -run '^$$' -fuzz FuzzFlightDecode -fuzztime 30s ./internal/obs/flight

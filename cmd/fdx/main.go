@@ -79,9 +79,10 @@ func exitCode(err error) int {
 	}
 }
 
-// fail prints the error and returns its exit code.
+// fail prints the error and returns its exit code. The line starts with
+// exactly one "fdx: ", whether or not the library already prefixed it.
 func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "fdx:", err)
+	fmt.Fprintln(os.Stderr, "fdx:", strings.TrimPrefix(err.Error(), "fdx: "))
 	return exitCode(err)
 }
 
@@ -133,6 +134,9 @@ func runDiscover(args []string) int {
 		fmt.Fprintln(os.Stderr, "       fdx stream -checkpoint state.fdx [flags] data.csv")
 		fs.PrintDefaults()
 		return 2
+	}
+	if err := opts.Validate(); err != nil {
+		return fail(err)
 	}
 	tel, err := tflags.setup()
 	if err != nil {
@@ -215,6 +219,11 @@ func runStream(args []string) int {
 		fmt.Fprintln(os.Stderr, "usage: fdx stream -checkpoint state.fdx [-every N] [-batch B] [-shards S] [-ship URL] [flags] data.csv")
 		fs.PrintDefaults()
 		return 2
+	}
+	// Checked before the first checkpoint is written, so a bad flag never
+	// pins itself into a resumable stream.
+	if err := opts.Validate(); err != nil {
+		return fail(err)
 	}
 	if *session == "" {
 		*session = filepath.Base(*ckpt)

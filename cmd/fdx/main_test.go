@@ -100,6 +100,60 @@ func TestMissingInputExitsTwo(t *testing.T) {
 	}
 }
 
+// TestErrorLinesCarryOnePrefix: every stderr line of a failed run starts
+// with exactly one "fdx: ", whether the library made the error (and
+// prefixed it already) or the command did.
+func TestErrorLinesCarryOnePrefix(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "s.fdx")
+	if stdout, stderr, code := run(t, "stream", "-checkpoint", ckpt, "-batch", "200", csvPath); code != 0 {
+		t.Fatalf("stream exit %d\n%s%s", code, stdout, stderr)
+	}
+	other := filepath.Join(dir, "other.csv")
+	if err := os.WriteFile(other, []byte("a,b\n1,2\n3,4\n5,6\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]string{
+		"library error":   {"-ordering", "bogus", csvPath},
+		"schema mismatch": {"stream", "-checkpoint", ckpt, other},
+	} {
+		_, stderr, code := run(t, args...)
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2\n%s", name, code, stderr)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(stderr), "\n") {
+			if !strings.HasPrefix(line, "fdx: ") || strings.HasPrefix(line, "fdx: fdx: ") {
+				t.Errorf("%s: stderr line %q does not start with exactly one \"fdx: \"", name, line)
+			}
+		}
+	}
+}
+
+// TestInvalidOptionFlagsExitTwoBeforeAnyState: an out-of-range option
+// fails with exit 2 before a plain run discovers anything and before a
+// stream writes its first checkpoint, so a bad flag is never pinned into a
+// resumable stream.
+func TestInvalidOptionFlagsExitTwoBeforeAnyState(t *testing.T) {
+	for _, flags := range [][]string{
+		{"-lambda", "-3"}, {"-lambda", "-0.001"}, {"-ordering", "bogus"}, {"-numeric-tol", "NaN"},
+	} {
+		if stdout, stderr, code := run(t, append(flags, csvPath)...); code != 2 || stdout != "" {
+			t.Errorf("fdx %v: exit %d, stdout %q, want 2 and nothing\n%s", flags, code, stdout, stderr)
+		}
+		dir := t.TempDir()
+		args := append([]string{"stream", "-checkpoint", filepath.Join(dir, "s.fdx")}, flags...)
+		if _, stderr, code := run(t, append(args, csvPath)...); code != 2 {
+			t.Errorf("fdx stream %v: exit %d, want 2\n%s", flags, code, stderr)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("fdx stream %v left %d files behind, want none", flags, len(left))
+		}
+	}
+	if stdout, stderr, code := run(t, "-max-rows", "-5", csvPath); code != 2 || stdout != "" {
+		t.Errorf("fdx -max-rows -5: exit %d, stdout %q, want 2 and nothing\n%s", code, stdout, stderr)
+	}
+}
+
 func TestDiscoverFindsDependencies(t *testing.T) {
 	stdout, stderr, code := run(t, csvPath)
 	if code != 0 {

@@ -71,28 +71,37 @@ func (fd FD) String() string { return strings.Join(fd.LHS, ",") + " -> " + fd.RH
 // Options configures discovery. The zero value uses the defaults of the
 // paper's configuration: no extra sparsity penalty, minimum-degree column
 // ordering, and the adaptive coefficient threshold (absolute floor plus a
-// per-column relative rule).
+// per-column relative rule). Each numeric or named field's comment gives
+// its valid range; the other fields accept any value. Validate checks the
+// ranges, and every entry point returns ErrBadInput for a value outside
+// its range before any stage runs.
 type Options struct {
 	// Lambda is the Graphical Lasso sparsity penalty (paper Table 8).
+	// Valid: finite and ≥ 0.
 	Lambda float64
 	// Threshold is the absolute floor on |B| coefficients for an FD edge
 	// (0 = default 0.05). An edge must also pass the per-column relative
 	// rule |b| ≥ RelFraction·(column max), which adapts to the data set's
 	// coefficient scale. Only non-zero coefficients ever form an edge
 	// (paper Alg. 3), so a negative Threshold means no absolute floor.
+	// Valid: any finite value.
 	Threshold float64
 	// RelFraction is the relative per-column threshold fraction
 	// (default 0.4); set negative to disable the relative rule.
+	// Valid: ≤ 1 and not NaN.
 	RelFraction float64
 	// Ordering selects the column-ordering heuristic: "heuristic"
 	// (minimum degree, default), "natural", "amd", "colamd", "metis",
 	// "nesdis", "reverse", or "random" (paper Table 9).
+	// Valid: empty or one of those names.
 	Ordering string
 	// MaxRows caps the tuples used by the pair transform (0 = all);
 	// sampling accelerates large inputs at a small accuracy cost.
+	// Valid: ≥ 0.
 	MaxRows int
 	// NumericTolerance treats numeric values within this fraction of the
 	// column range as equal in the pair transform.
+	// Valid: finite and ≥ 0.
 	NumericTolerance float64
 	// TextSimilarity enables 3-gram Jaccard similarity for text columns.
 	TextSimilarity bool
@@ -206,43 +215,33 @@ func Discover(rel *Relation, opts Options) (*Result, error) {
 // wraps both ctx.Err() and ErrCancelled.
 func DiscoverContext(ctx context.Context, rel *Relation, opts Options) (res *Result, err error) {
 	defer guard("fdx: Discover", &err)
-	if verr := core.ValidateRelation(rel); verr != nil {
-		return nil, fmt.Errorf("fdx: %w", verr)
-	}
-	copts := coreOptions(opts)
-	// Root telemetry span for the whole run; every stage nests under it.
-	// End is deferred for error paths and idempotent on success.
-	run := copts.Obs.Start("discover")
-	defer run.End()
-	copts.Obs = copts.Obs.Under(run)
-	copts.Obs.Count(obs.MDiscoverRuns, 1)
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-	t0 := time.Now()
-	samples, err := core.TransformBitsContext(ctx, rel, copts)
+	model, err := core.DiscoverContext(ctx, rel, coreOptions(opts))
 	if err != nil {
 		return nil, fmt.Errorf("fdx: %w", err)
 	}
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.TransformDuration); never feeds FD scores
-	t1 := time.Now()
-	model, err := core.DiscoverFromBitsContext(ctx, samples, rel.AttrNames(), copts)
-	if err != nil {
-		return nil, fmt.Errorf("fdx: %w", err)
+	return resultFromModel(model, rel.AttrNames()), nil
+}
+
+// Validate reports whether every option lies in its documented range,
+// returning an ErrBadInput-wrapped error that names the first field out
+// of it. Discover, DiscoverStable and the Accumulator run the same check
+// before any stage; callers that persist options before running them (a
+// stream's first checkpoint, a server's session manifest) call it first.
+func (o Options) Validate() error {
+	if err := coreOptions(o).Validate(); err != nil {
+		return fmt.Errorf("fdx: %w", err)
 	}
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.ModelDuration); never feeds FD scores
-	t2 := time.Now()
-	run.End()
-	res = resultFromModel(model, rel.AttrNames())
-	res.TransformDuration = t1.Sub(t0)
-	res.ModelDuration = t2.Sub(t1)
-	res.StageTimings = run.StageTimings()
-	return res, nil
+	return nil
 }
 
 func resultFromModel(model *core.Model, names []string) *Result {
 	res := &Result{
-		Attributes:  names,
-		Order:       append([]int(nil), model.Order...),
-		Diagnostics: diagnosticsFromCore(model.Diagnostics, names),
+		Attributes:        names,
+		Order:             append([]int(nil), model.Order...),
+		TransformDuration: model.TransformDuration,
+		ModelDuration:     model.ModelDuration,
+		Diagnostics:       diagnosticsFromCore(model.Diagnostics, names),
+		StageTimings:      model.Trace.StageTimings(),
 	}
 	k := len(names)
 	res.B = make([][]float64, k)

@@ -2,12 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fdx/internal/core"
@@ -88,6 +90,36 @@ func TestSnapshotEveryTruncationFailsTyped(t *testing.T) {
 		if !errors.Is(err, fdxerr.ErrCorruptCheckpoint) && !errors.Is(err, fdxerr.ErrCheckpointVersion) {
 			t.Fatalf("truncation at %d: error outside taxonomy: %v", cut, err)
 		}
+	}
+}
+
+// TestSnapshotTruncatedMaxClaimAllocatesLittle: a file whose counts
+// section claims the format's maximum length but holds only a few bytes of
+// it fails as corrupt, and the read allocates in proportion to the bytes
+// present, not to the claim.
+func TestSnapshotTruncatedMaxClaimAllocatesLittle(t *testing.T) {
+	acc, _ := testAccumulator(t, 1)
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, acc.State(), 1); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), buf.Bytes()[:16]...)
+	data = binary.LittleEndian.AppendUint32(data, secCounts)
+	data = binary.LittleEndian.AppendUint64(data, maxSectionLen)
+	data = append(data, make([]byte, 4096)...)
+	path := filepath.Join(t.TempDir(), "claim.fdx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Load(path)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, fdxerr.ErrCorruptCheckpoint) {
+		t.Fatalf("err = %v, want ErrCorruptCheckpoint", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > maxSectionLen/64 {
+		t.Errorf("reading a truncated %d-byte claim allocated %d bytes", maxSectionLen, got)
 	}
 }
 

@@ -87,6 +87,9 @@ const (
 	// maxSectionLen bounds a section (and WAL record) payload so a
 	// corrupted length field cannot demand an absurd allocation.
 	maxSectionLen = 1 << 27
+	// firstRead is readSection's first buffer size; the buffer doubles
+	// from there up to the claimed payload length.
+	firstRead = 1 << 16
 )
 
 // maxAttrs is the largest attribute count whose biggest payload, a WAL
@@ -211,13 +214,21 @@ func readSection(r io.Reader) (id uint32, payload []byte, err error) {
 	if n > maxSectionLen {
 		return 0, nil, fdxerr.Corrupt("checkpoint: section %d claims %d bytes (max %d)", id, n, maxSectionLen)
 	}
-	// CopyN into a buffer grows with the bytes actually present, so a lying
-	// length on a truncated file cannot force a huge allocation.
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return 0, nil, fdxerr.Corrupt("checkpoint: truncated section %d payload (%v)", id, err)
+	// The buffer doubles from firstRead bytes as the payload arrives, capped
+	// at the claimed length: a lying length on a truncated file costs at
+	// most twice the bytes present, and a true one ends in a buffer of
+	// exactly n bytes, having copied fewer than n on the way.
+	payload = make([]byte, 0, min(n, firstRead))
+	for uint64(len(payload)) < n {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, min(n, 2*uint64(cap(payload)))), payload...)
+		}
+		m, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		payload = payload[:len(payload)+m]
+		if err != nil {
+			return 0, nil, fdxerr.Corrupt("checkpoint: truncated section %d payload (%v)", id, err)
+		}
 	}
-	payload = buf.Bytes()
 	tail := make([]byte, 4)
 	if _, err := io.ReadFull(r, tail); err != nil {
 		return 0, nil, fdxerr.Corrupt("checkpoint: truncated section %d checksum (%v)", id, err)

@@ -322,10 +322,6 @@ func TestDiscoverSingleColumn(t *testing.T) {
 
 func TestDiscoverFromSamplesDimMismatch(t *testing.T) {
 	ctx := context.Background()
-	pb := newPairBits(4, 3, nil)
-	if _, err := DiscoverFromBitsContext(ctx, pb, []string{"a", "b"}, Options{}); !errors.Is(err, fdxerr.ErrBadInput) {
-		t.Errorf("sample store dimension mismatch: err = %v, want ErrBadInput", err)
-	}
 	if _, err := DiscoverFromCovarianceContext(ctx, linalg.NewDense(3, 3), []string{"a", "b"}, Options{}); !errors.Is(err, fdxerr.ErrBadInput) {
 		t.Errorf("covariance dimension mismatch: err = %v, want ErrBadInput", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"fdx/internal/dataset"
 	"fdx/internal/faults"
@@ -86,6 +87,35 @@ func (o *Options) defaults() {
 	}
 }
 
+// Validate returns an ErrBadInput-wrapped error naming the first option
+// outside the range the model gives it: Lambda is the Graphical Lasso
+// penalty, finite and ≥ 0 (paper Table 8); Ordering is empty or a method
+// internal/ordering dispatches; RelFraction ≤ 1 and Threshold finite
+// (negative turns either rule off); MaxRows ≥ 0; NumericTol finite and
+// ≥ 0. Every entry that runs a stage calls it before the first span
+// opens. It never rewrites the options, so stored ones keep their
+// checkpoint fingerprint.
+func (o Options) Validate() error {
+	switch {
+	case !(o.Lambda >= 0) || math.IsInf(o.Lambda, 1):
+		return fdxerr.BadInput("core: lambda %v must be finite and >= 0", o.Lambda)
+	case math.IsNaN(o.Threshold) || math.IsInf(o.Threshold, 0):
+		return fdxerr.BadInput("core: threshold %v must be finite", o.Threshold)
+	case !(o.RelFraction <= 1):
+		return fdxerr.BadInput("core: relative fraction %v must be at most 1 (negative disables it)", o.RelFraction)
+	case o.Transform.MaxRows < 0:
+		return fdxerr.BadInput("core: max rows %d must be >= 0 (0 uses every row)", o.Transform.MaxRows)
+	case !(o.Transform.NumericTol >= 0) || math.IsInf(o.Transform.NumericTol, 1):
+		return fdxerr.BadInput("core: numeric tolerance %v must be finite and >= 0", o.Transform.NumericTol)
+	}
+	if o.Ordering != "" {
+		if err := ordering.Check(o.Ordering); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	return nil
+}
+
 // Model is the fitted FDX model: the estimated precision matrix, the
 // autoregression matrix in original attribute coordinates, the global
 // attribute order used, and the generated FDs.
@@ -108,8 +138,11 @@ type Model struct {
 	// (nil when no tracer was attached). Its StageTimings break the fit
 	// down per stage.
 	Trace *obs.Span
-	// TransformRows and ModelDuration-style accounting live in the caller;
-	// the model keeps only statistical state.
+	// TransformDuration and ModelDuration split the run's wall time into
+	// the pair transform and structure learning, from the covariance on
+	// (paper Fig. 6). The accumulator's transform ran batch by batch as
+	// the data arrived, so its TransformDuration is zero.
+	TransformDuration, ModelDuration time.Duration
 }
 
 // ValidateRelation checks that a relation is structurally sound for
@@ -142,54 +175,71 @@ func Discover(rel *dataset.Relation, opts Options) (*Model, error) {
 // of the fallback ladder, and each block's ordering, and a wrapped ctx.Err()
 // is returned promptly on expiry.
 func DiscoverContext(ctx context.Context, rel *dataset.Relation, opts Options) (*Model, error) {
-	opts.defaults()
 	if err := ValidateRelation(rel); err != nil {
 		return nil, err
 	}
-	// Root telemetry span for the run; stages nest under it. End is
-	// deferred for error paths and idempotent on success.
+	names := rel.AttrNames()
+	var pb *PairBits
+	transform := func(opts Options) (err error) {
+		pb, err = TransformBitsContext(ctx, rel, opts)
+		return err
+	}
+	return drive(opts, transform, func(opts Options) (*Model, error) {
+		if len(names) == 0 {
+			return &Model{Theta: linalg.NewDense(0, 0), B: linalg.NewDense(0, 0), Diagnostics: Diagnostics{GlassoConverged: true}}, nil
+		}
+		// The covariance comes from popcount co-occurrence counts (fanned
+		// out over Transform.Workers), bit-identical to the float
+		// estimators in internal/stats on the unpacked block.
+		csp := opts.Obs.StartStage("covariance")
+		var s *linalg.Dense
+		if opts.PooledCovariance {
+			s = pb.Covariance(opts.Transform.Workers)
+		} else {
+			s = pb.StratifiedCovariance(opts.Transform.Workers)
+		}
+		csp.Attr("dim", len(names))
+		csp.End()
+		return DiscoverFromCovarianceContext(ctx, s, names, opts)
+	})
+}
+
+// drive is the one discover driver, behind DiscoverContext and
+// Accumulator.DiscoverContext. It rejects bad options before any span
+// opens, then opens the root "discover" span, counts the run, and times
+// its two phases into the Model: transform (nil when the samples are
+// already counted) and model, which builds the covariance and fits it.
+func drive(opts Options, transform func(Options) error, model func(Options) (*Model, error)) (*Model, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	opts.defaults()
+	// End is deferred for error paths and idempotent on success.
 	run := opts.Obs.Start("discover")
 	defer run.End()
 	opts.Obs = opts.Obs.Under(run)
 	opts.Obs.Count(obs.MDiscoverRuns, 1)
-	k := rel.NumCols()
-	if k == 0 {
-		return &Model{Theta: linalg.NewDense(0, 0), B: linalg.NewDense(0, 0), Diagnostics: Diagnostics{GlassoConverged: true}, Trace: run}, nil
+	//fdx:lint-ignore detsource wall-clock timing metadata (Model.TransformDuration); never feeds FD scores
+	t0 := time.Now()
+	t1 := t0
+	if transform != nil {
+		if err := transform(opts); err != nil {
+			return nil, err
+		}
+		//fdx:lint-ignore detsource wall-clock timing metadata (Model.TransformDuration); never feeds FD scores
+		t1 = time.Now()
 	}
-	pb, err := TransformBitsContext(ctx, rel, opts)
+	m, err := model(opts)
 	if err != nil {
 		return nil, err
 	}
-	m, err := DiscoverFromBitsContext(ctx, pb, rel.AttrNames(), opts)
-	if err != nil {
-		return nil, err
-	}
+	//fdx:lint-ignore detsource wall-clock timing metadata (Model.ModelDuration); never feeds FD scores
+	t2 := time.Now()
 	run.End()
 	m.Trace = run
+	m.TransformDuration = t1.Sub(t0)
+	m.ModelDuration = t2.Sub(t1)
 	return m, nil
-}
-
-// DiscoverFromBitsContext runs structure learning + FD generation on the
-// bit-packed pair-sample store (see TransformBitsContext) — the model
-// phase apart from the transform, which paper Fig. 6 times separately. The
-// covariance comes from popcount co-occurrence counts (fanned out over
-// Transform.Workers), bit-identical to the float estimators in
-// internal/stats on the unpacked block.
-func DiscoverFromBitsContext(ctx context.Context, pb *PairBits, names []string, opts Options) (*Model, error) {
-	if pb.k != len(names) {
-		return nil, fdxerr.BadInput("core: sample store has %d columns, want %d", pb.k, len(names))
-	}
-	opts.defaults()
-	csp := opts.Obs.StartStage("covariance")
-	var s *linalg.Dense
-	if opts.PooledCovariance {
-		s = pb.Covariance(opts.Transform.Workers)
-	} else {
-		s = pb.StratifiedCovariance(opts.Transform.Workers)
-	}
-	csp.Attr("dim", len(names))
-	csp.End()
-	return DiscoverFromCovarianceContext(ctx, s, names, opts)
 }
 
 // DiscoverFromCovarianceContext runs structure learning + FD generation on

@@ -242,8 +242,12 @@ func (a *Accumulator) Coverage() []BatchRange {
 // entry point. The transform seed is Options.Seed + global, a function of
 // the batch's position in the full stream's grid and nothing else, so the
 // delta is bit-identical no matter which shard absorbs the batch. The
-// index must not already be covered.
+// index must not already be covered. Options that fail Validate absorb
+// nothing.
 func (a *Accumulator) AbsorbAt(rel *dataset.Relation, global int) (*BatchDelta, error) {
+	if err := a.opts.Validate(); err != nil {
+		return nil, err
+	}
 	if rel == nil {
 		return nil, fdxerr.BadInput("core: nil batch")
 	}
@@ -545,21 +549,11 @@ func (a *Accumulator) Discover() (*Model, error) {
 // DiscoverContext is Discover with cancellation (see DiscoverContext at the
 // package level for where the context is checked).
 func (a *Accumulator) DiscoverContext(ctx context.Context) (*Model, error) {
-	run := a.opts.Obs.Start("discover")
-	defer run.End()
-	h := a.opts.Obs.Under(run)
-	h.Count(obs.MDiscoverRuns, 1)
-	s, err := a.covariance(h)
-	if err != nil {
-		return nil, err
-	}
-	opts := a.opts
-	opts.Obs = h
-	m, err := DiscoverFromCovarianceContext(ctx, s, a.names, opts)
-	if err != nil {
-		return nil, err
-	}
-	run.End()
-	m.Trace = run
-	return m, nil
+	return drive(a.opts, nil, func(opts Options) (*Model, error) {
+		s, err := a.covariance(opts.Obs)
+		if err != nil {
+			return nil, err
+		}
+		return DiscoverFromCovarianceContext(ctx, s, a.names, opts)
+	})
 }

@@ -61,8 +61,8 @@ func TestFaultSlowStageVisibleInSweepSpan(t *testing.T) {
 	tr := obs.New()
 	faults.Arm(faults.SlowStage, faults.Config{Times: 1, Delay: delay})
 	opts := Options{Transform: TransformOptions{Workers: 1}, Obs: obs.Hooks{Tracer: tr}}
-	if _, err := DiscoverFromBitsContext(context.Background(), pb, names, opts); err != nil {
-		t.Fatalf("DiscoverFromBitsContext: %v", err)
+	if _, err := DiscoverFromCovarianceContext(context.Background(), pb.StratifiedCovariance(1), names, opts); err != nil {
+		t.Fatalf("DiscoverFromCovarianceContext: %v", err)
 	}
 
 	sweeps := tr.Find("glasso-sweep")

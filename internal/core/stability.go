@@ -50,6 +50,9 @@ type EdgeFrequency struct {
 // It returns the stable FDs (edges regrouped per RHS, scored by their
 // frequency) and the full per-edge frequency table.
 func StabilitySelection(rel *dataset.Relation, opts Options, sopts StabilityOptions) ([]FD, []EdgeFrequency, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, nil, err
+	}
 	sopts.defaults()
 	rng := rand.New(rand.NewSource(sopts.Seed))
 	counts := map[[2]int]int{}

@@ -22,7 +22,7 @@ import (
 	"fdx/internal/obs"
 )
 
-// Method names accepted by ByName.
+// Method names accepted by Order.
 const (
 	Natural   = "natural"
 	Heuristic = "heuristic" // exact minimum degree (paper default)
@@ -146,35 +146,46 @@ func OrderObs(method string, g *Graph, seed int64, h obs.Hooks) (linalg.Permutat
 	return order(method, g, seed)
 }
 
-// order dispatches to the method implementations.
-func order(method string, g *Graph, seed int64) (linalg.Permutation, error) {
-	switch method {
-	case Natural:
-		return linalg.IdentityPerm(g.n), nil
-	case Reverse:
+// methods is the dispatch table of order: one entry per method name.
+// Check reads the same table, so a name passes the option check exactly
+// when order can run it.
+var methods = map[string]func(g *Graph, seed int64) linalg.Permutation{
+	Natural: func(g *Graph, _ int64) linalg.Permutation { return linalg.IdentityPerm(g.n) },
+	Reverse: func(g *Graph, _ int64) linalg.Permutation {
 		p := make(linalg.Permutation, g.n)
 		for i := range p {
 			p[i] = g.n - 1 - i
 		}
-		return p, nil
-	case Random:
+		return p
+	},
+	Random: func(g *Graph, seed int64) linalg.Permutation {
 		p := linalg.IdentityPerm(g.n)
 		rng := rand.New(rand.NewSource(seed))
 		rng.Shuffle(g.n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-		return p, nil
-	case Heuristic:
-		return minDegree(g, exactDegree), nil
-	case AMD:
-		return minDegree(g, approximateDegree), nil
-	case COLAMD:
-		return minDegree(g, staticDegree), nil
-	case METIS:
-		return nestedDissection(g, true), nil
-	case NESDIS:
-		return nestedDissection(g, false), nil
-	default:
-		return nil, fmt.Errorf("ordering: unknown method %q: %w", method, fdxerr.ErrBadInput)
+		return p
+	},
+	Heuristic: func(g *Graph, _ int64) linalg.Permutation { return minDegree(g, exactDegree) },
+	AMD:       func(g *Graph, _ int64) linalg.Permutation { return minDegree(g, approximateDegree) },
+	COLAMD:    func(g *Graph, _ int64) linalg.Permutation { return minDegree(g, staticDegree) },
+	METIS:     func(g *Graph, _ int64) linalg.Permutation { return nestedDissection(g, true) },
+	NESDIS:    func(g *Graph, _ int64) linalg.Permutation { return nestedDissection(g, false) },
+}
+
+// Check returns the ErrBadInput-wrapped error order gives for a method
+// name it cannot dispatch, and nil for every name it can.
+func Check(method string) error {
+	if _, ok := methods[method]; !ok {
+		return fmt.Errorf("ordering: unknown method %q: %w", method, fdxerr.ErrBadInput)
 	}
+	return nil
+}
+
+// order dispatches to the method implementations.
+func order(method string, g *Graph, seed int64) (linalg.Permutation, error) {
+	if err := Check(method); err != nil {
+		return nil, err
+	}
+	return methods[method](g, seed), nil
 }
 
 // Fill returns the number of fill-in edges created when eliminating the

@@ -183,6 +183,89 @@ func TestCrashServeRestartManifestWithWorkers(t *testing.T) {
 	}
 }
 
+// TestServeBootsStoredInvalidOptionsRefused pins the rule for a manifest
+// whose options fail fdx.Options.Validate, as a create before the check
+// could store: the server still boots and restores its other sessions,
+// and the refused one answers every request but DELETE with 400 bad_input,
+// leaving its files byte-identical until DELETE removes them.
+func TestServeBootsStoredInvalidOptionsRefused(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *Server {
+		sv, err := New(Config{DataDir: dir, RequestTimeout: 30 * time.Second})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return sv
+	}
+	svA := mk()
+	for _, id := range []string{"bad", "good"} {
+		createSession(t, svA, id, "acme")
+		ingest(t, svA, id, "acme", 1, 40, 0)
+	}
+	if err := svA.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "bad"+checkpointSuffix+manifestSuffix)
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["options"] = map[string]any{"ordering": "bogus"}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := func() map[string]string {
+		out := map[string]string{}
+		for _, suffix := range []string{manifestSuffix, "", fdx.WALSuffix} {
+			b, err := os.ReadFile(filepath.Join(dir, "bad"+checkpointSuffix+suffix))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[suffix] = string(b)
+		}
+		return out
+	}
+	before := files()
+
+	svB := mk()
+	for _, req := range []struct {
+		method, path string
+		body         any
+	}{
+		{"GET", "/v1/sessions/bad", nil},
+		{"POST", "/v1/sessions/bad/rows", rowsRequest{Seq: 2, Rows: genRows(40, 40)}},
+		{"POST", "/v1/sessions/bad/discover", nil},
+	} {
+		rec, body := do(t, svB, req.method, req.path, "acme", req.body)
+		if rec.Code != http.StatusBadRequest || errCode(t, body) != CodeBadInput {
+			t.Errorf("%s %s: status %d body %v, want 400 %s", req.method, req.path, rec.Code, body, CodeBadInput)
+		}
+	}
+	ingest(t, svB, "good", "acme", 2, 40, 40)
+	discoverB(t, svB, "good", "acme")
+	if err := svB.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(files(), before) {
+		t.Error("the refused session's files changed")
+	}
+
+	svC := mk()
+	if rec, body := do(t, svC, "DELETE", "/v1/sessions/bad", "acme", nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("DELETE: status %d body %v", rec.Code, body)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "bad*")); len(left) != 0 {
+		t.Errorf("DELETE left %v", left)
+	}
+}
+
 // TestCrashServeRestartQuotaReseed: restored sessions count against their
 // tenant's session quota after a restart.
 func TestCrashServeRestartQuotaReseed(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +287,27 @@ func TestServeCreateRejectsWorkersOption(t *testing.T) {
 	if code := errCode(t, body); code != CodeBadInput {
 		t.Errorf("create with options.workers: code %s, want %s", code, CodeBadInput)
 	}
+}
+
+// TestServeCreateRejectsInvalidOptions: a create whose options fail
+// fdx.Options.Validate answers 400 bad_input and persists nothing.
+func TestServeCreateRejectsInvalidOptions(t *testing.T) {
+	dir := t.TempDir()
+	sv := newServer(t, func(c *Config) { c.DataDir = dir })
+	for _, opts := range []map[string]any{
+		{"ordering": "bogus"}, {"lambda": -1}, {"rel_fraction": 7}, {"max_rows": -5}, {"numeric_tolerance": -0.5},
+	} {
+		rec, body := do(t, sv, "POST", "/v1/sessions", "acme", map[string]any{
+			"id": "s1", "attributes": testAttrs, "options": opts,
+		})
+		if rec.Code != http.StatusBadRequest || errCode(t, body) != CodeBadInput {
+			t.Errorf("create with %v: status %d body %v, want 400 %s", opts, rec.Code, body, CodeBadInput)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("create with %v left %d files in the data dir", opts, len(left))
+		}
+	}
+	createSession(t, sv, "s1", "acme")
 }
 
 func TestServeDrainSheds(t *testing.T) {

@@ -84,6 +84,10 @@ type session struct {
 	sinceSave int          // batches absorbed since the last checkpoint
 	shardSeqs map[int]bool // shard-ship seqs acknowledged (fast retry dedup)
 	closed    bool         // deleted or store shut down
+	// refused is set at boot when the stored manifest's options fail
+	// fdx.Options.Validate: nothing is loaded, the files stay untouched,
+	// and every request but DELETE gets this 400 (sessionStore.get).
+	refused *httpError
 }
 
 // ingest absorbs one batch at the given 1-based client sequence number.
@@ -169,7 +173,7 @@ func (s *session) saveLocked() error {
 func (s *session) checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.closed || s.refused != nil {
 		return nil
 	}
 	return s.saveLocked()
@@ -213,7 +217,9 @@ func (s *session) close() {
 		return
 	}
 	s.closed = true
-	s.wal.Close()
+	if s.wal != nil {
+		s.wal.Close()
+	}
 }
 
 // removeFiles deletes the session's manifest, checkpoint, and WAL.
@@ -257,6 +263,9 @@ func (st *sessionStore) create(id, tenant string, names []string, wopts SessionO
 	}
 	if len(names) < 2 {
 		return nil, false, serveError(400, CodeBadInput, "a session needs at least two attributes")
+	}
+	if err := wopts.options(nil, tenant).Validate(); err != nil {
+		return nil, false, taxonomyError(err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -305,6 +314,9 @@ func (st *sessionStore) get(id, tenant string) (*session, *httpError) {
 	if !ok || s.tenant != tenant {
 		return nil, serveError(404, CodeNotFound, "no session "+id)
 	}
+	if s.refused != nil {
+		return nil, s.refused
+	}
 	return s, nil
 }
 
@@ -348,6 +360,9 @@ func (st *sessionStore) closeAll() {
 // (checkpoint + WAL replay, torn tails truncated). Called once at startup
 // before the server listens. A session that fails to restore aborts the
 // boot — a half-visible session table would silently drop durable data.
+// A manifest whose options fail fdx.Options.Validate (written before create
+// checked them) is the exception: its session boots refused, so one bad
+// session neither stops the server nor loses its files.
 func (st *sessionStore) restore() error {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -378,6 +393,11 @@ func (st *sessionStore) restore() error {
 			wopts:  m.Options,
 			opts:   m.Options.options(st.registry, m.Tenant),
 			path:   filepath.Join(st.dir, m.ID+checkpointSuffix),
+		}
+		if err := s.opts.Validate(); err != nil {
+			s.refused = taxonomyError(fmt.Errorf("serve: session %s was stored with invalid options; delete it: %w", m.ID, err))
+			st.sessions[m.ID] = s
+			continue
 		}
 		acc, err := fdx.LoadCheckpoint(s.path, s.opts)
 		if err != nil {

@@ -3,7 +3,6 @@ package fdx
 import (
 	"context"
 	"io"
-	"time"
 
 	"fdx/internal/checkpoint"
 	"fdx/internal/core"
@@ -59,17 +58,11 @@ func (a *Accumulator) Discover() (*Result, error) {
 // for where the context is checked.
 func (a *Accumulator) DiscoverContext(ctx context.Context) (res *Result, err error) {
 	defer guard("fdx: Accumulator.Discover", &err)
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.ModelDuration); never feeds FD scores
-	t0 := time.Now()
 	model, err := a.inner.DiscoverContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res = resultFromModel(model, a.names)
-	//fdx:lint-ignore detsource wall-clock timing metadata (Result.ModelDuration); never feeds FD scores
-	res.ModelDuration = time.Since(t0)
-	res.StageTimings = model.Trace.StageTimings()
-	return res, nil
+	return resultFromModel(model, a.names), nil
 }
 
 // WALSuffix is appended to a checkpoint path to name its companion
@@ -93,9 +86,13 @@ func (a *Accumulator) Snapshot(w io.Writer) (err error) {
 // by Snapshot. opts must fingerprint-match the options the snapshot was
 // taken under (ErrBadInput otherwise); unreadable bytes return
 // ErrCorruptCheckpoint or ErrCheckpointVersion-wrapped errors, never a
-// panic. The restored accumulator continues the stream bit-for-bit.
+// panic; options that fail Validate return ErrBadInput before any byte is
+// read. The restored accumulator continues the stream bit-for-bit.
 func RestoreAccumulator(r io.Reader, opts Options) (acc *Accumulator, err error) {
 	defer guard("fdx: RestoreAccumulator", &err)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	st, fingerprint, err := checkpoint.ReadSnapshot(r)
 	if err != nil {
 		return nil, err
@@ -133,9 +130,13 @@ func (a *Accumulator) SaveCheckpoint(path string) (err error) {
 // Errors are typed: a missing snapshot matches fs.ErrNotExist (wrapped in
 // ErrBadInput), mismatched options ErrBadInput, unreadable or
 // inconsistent bytes ErrCorruptCheckpoint, an incompatible format version
-// ErrCheckpointVersion. Arbitrary bytes never panic.
+// ErrCheckpointVersion, options that fail Validate ErrBadInput before the
+// file is opened. Arbitrary bytes never panic.
 func LoadCheckpoint(path string, opts Options) (acc *Accumulator, err error) {
 	defer guard("fdx: LoadCheckpoint", &err)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	h := coreOptions(opts).Obs
 	lsp := h.StartStage("checkpoint-load")
 	st, fingerprint, err := checkpoint.Load(path)
