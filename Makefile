@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 30s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz FuzzRowsBody -fuzztime 30s -fuzzminimizetime 5s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzPairKernel -fuzztime 30s ./internal/core
 
 # Telemetry micro-benchmarks plus the end-to-end overhead gate: a Discover
 # with live tracer+metrics must stay within 2% of a nil-sink run.

@@ -123,6 +123,33 @@ func TestSnapshotTruncatedMaxClaimAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestLoadMaxAttrsAllocatesOnce loads a snapshot at the format's largest
+// attribute count, whose counts section is 128 MiB, and requires the load
+// to allocate at most 2.2× that section: the payload, read into one exact
+// allocation because the file's size bounds every claim, and the decoded
+// counts. A doubling read buffer allocated about 3×.
+func TestLoadMaxAttrsAllocatesOnce(t *testing.T) {
+	k := maxAttrs
+	st := &core.AccumulatorState{Names: make([]string, k), Rows: 2, Batches: 1, Pairs: 2, Sums: make([]uint64, k*k), Co: make([]uint64, k*(k+1)/2)}
+	path := filepath.Join(t.TempDir(), "max.fdx")
+	if _, err := Save(path, st, 3); err != nil {
+		t.Fatal(err)
+	}
+	st = nil
+	section := uint64(8 + countsLen(k))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	back, fp, err := Load(path)
+	runtime.ReadMemStats(&after)
+	if err != nil || fp != 3 || len(back.Sums) != k*k {
+		t.Fatalf("Load: fingerprint %d, err %v", fp, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 2.2*float64(section) {
+		t.Errorf("Load at k=%d allocated %d bytes, %.2f× its %d-byte counts section, want ≤ 2.2×", k, got, float64(got)/float64(section), section)
+	}
+}
+
 func TestSnapshotEveryByteFlipFailsTypedOrRoundtrips(t *testing.T) {
 	acc, _ := testAccumulator(t, 2)
 	want := acc.State()

@@ -80,7 +80,11 @@ func Load(path string) (*core.AccumulatorState, uint64, error) {
 		return nil, 0, fmt.Errorf("checkpoint: %w: %w", err, fdxerr.ErrBadInput)
 	}
 	defer f.Close()
-	st, fingerprint, err := ReadSnapshot(bufio.NewReader(f))
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, fdxerr.Corrupt("checkpoint: stat %s: %v", path, err)
+	}
+	st, fingerprint, err := readSnapshot(bufio.NewReader(f), info.Size())
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w (snapshot %s)", err, path)
 	}

@@ -87,9 +87,13 @@ const (
 	// maxSectionLen bounds a section (and WAL record) payload so a
 	// corrupted length field cannot demand an absurd allocation.
 	maxSectionLen = 1 << 27
-	// firstRead is readSection's first buffer size; the buffer doubles
-	// from there up to the claimed payload length.
+	// firstRead is readSection's first buffer size on an input of unknown
+	// length; the buffer doubles from there up to the claimed payload
+	// length.
 	firstRead = 1 << 16
+	// frameLen is a section's bytes around its payload: id and length
+	// (u32, u64) before it, CRC (u32) after.
+	frameLen = 4 + 8 + 4
 )
 
 // maxAttrs is the largest attribute count whose biggest payload, a WAL
@@ -203,8 +207,11 @@ func writeSection(w io.Writer, id uint32, payload []byte) error {
 	return writeFull(w, tail.buf)
 }
 
-// readSection reads and validates one section frame.
-func readSection(r io.Reader) (id uint32, payload []byte, err error) {
+// readSection reads and validates one section frame. left is how many
+// bytes r still holds, or negative when unknown: a known length refuses a
+// claim longer than the bytes present at once and reads a fitting one
+// into one exact allocation.
+func readSection(r io.Reader, left int64) (id uint32, payload []byte, err error) {
 	header := make([]byte, 12)
 	if _, err := io.ReadFull(r, header); err != nil {
 		return 0, nil, fdxerr.Corrupt("checkpoint: truncated section header (%v)", err)
@@ -214,11 +221,20 @@ func readSection(r io.Reader) (id uint32, payload []byte, err error) {
 	if n > maxSectionLen {
 		return 0, nil, fdxerr.Corrupt("checkpoint: section %d claims %d bytes (max %d)", id, n, maxSectionLen)
 	}
-	// The buffer doubles from firstRead bytes as the payload arrives, capped
-	// at the claimed length: a lying length on a truncated file costs at
+	// The buffer starts at the claimed length when the input's length is
+	// known, a claim longer than the bytes present having failed first.
+	// Otherwise it doubles from firstRead bytes as the payload arrives,
+	// capped at the claim: a lying length on a truncated input costs at
 	// most twice the bytes present, and a true one ends in a buffer of
 	// exactly n bytes, having copied fewer than n on the way.
-	payload = make([]byte, 0, min(n, firstRead))
+	first := min(n, firstRead)
+	if left >= 0 {
+		if n+frameLen > uint64(left) {
+			return 0, nil, fdxerr.Corrupt("checkpoint: section %d claims %d bytes, %d remain", id, n, max(left-frameLen, 0))
+		}
+		first = n
+	}
+	payload = make([]byte, 0, first)
 	for uint64(len(payload)) < n {
 		if len(payload) == cap(payload) {
 			payload = append(make([]byte, 0, min(n, 2*uint64(cap(payload)))), payload...)

@@ -88,8 +88,21 @@ func sequentialRanges(rs []core.BatchRange, batches int) bool {
 // and the options fingerprint it was written under. A version-1 snapshot
 // is converted (fromV1). Failures wrap ErrCorruptCheckpoint (bad magic,
 // CRC mismatch, inconsistent dimensions) or ErrCheckpointVersion (intact
-// bytes from an incompatible version).
+// bytes from an incompatible version). When r tells how many bytes it
+// holds (a Len method, as *bytes.Buffer and *bytes.Reader have), each
+// section is read into one exact allocation and a claim past the end
+// fails before any.
 func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
+	left := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		left = int64(l.Len())
+	}
+	return readSnapshot(r, left)
+}
+
+// readSnapshot is ReadSnapshot on an input holding left bytes, or of
+// unknown length when left is negative.
+func readSnapshot(r io.Reader, left int64) (*core.AccumulatorState, uint64, error) {
 	fr := flipReader{r}
 	prologue := make([]byte, 16)
 	if _, err := io.ReadFull(fr, prologue); err != nil {
@@ -111,10 +124,16 @@ func ReadSnapshot(r io.Reader) (*core.AccumulatorState, uint64, error) {
 	// Unknown sections from a newer minor revision are checksummed by
 	// readSection and then ignored.
 	sections := map[uint32][]byte{}
+	if left >= 0 {
+		left -= int64(len(prologue))
+	}
 	for {
-		id, payload, err := readSection(fr)
+		id, payload, err := readSection(fr, left)
 		if err != nil {
 			return nil, 0, err
+		}
+		if left >= 0 {
+			left -= int64(len(payload)) + frameLen
 		}
 		if id == secEnd {
 			if len(payload) != 0 {

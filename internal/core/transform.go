@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strings"
@@ -115,56 +116,20 @@ const pollPairs = 4096
 // transformInto is the core of the pair transform, writing the bit-packed
 // sample block into out (shape per transformDims; every word is written,
 // so recycled buffers need no zeroing). opts.Transform must have defaults
-// applied.
+// applied. The shared read-only state (newPairScan) holds the sampled
+// tuples as a byte matrix plus a compact int32 matrix of the columns off
+// the byte path; each worker sorts one attribute at a time by its codes
+// and runs pairScan.block over the sorted order.
 func transformInto(ctx context.Context, rel *dataset.Relation, opts Options, out *PairBits) error {
 	tsp := opts.Obs.StartStage("transform")
 	defer tsp.End()
-	n := rel.NumRows()
-	k := rel.NumCols()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
 	bufs := dtPool.Get().(*dtBuf)
 	defer dtPool.Put(bufs)
-	rows := grow(&bufs.ints, n)
-	for i := range rows {
-		rows[i] = i
+	ps, err := newPairScan(ctx, rel, opts, bufs, out)
+	if err != nil {
+		return err
 	}
-	rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	if m := opts.Transform.MaxRows; m > 0 && n > m {
-		rows = rows[:m]
-		n = m
-	}
-
-	// Pre-compute the per-column comparison contexts — numeric scales for
-	// approximate equality, 3-gram sets per distinct text value — and a
-	// row-major copy of the sampled tuples' codes: position i (tuple
-	// rows[i]) holds its k codes contiguously, so a pair reads both
-	// tuples from two short runs instead of 2k scattered column cells.
-	ps := &pairScan{k: k, rows: rows, codes: grow(&bufs.codes, n*k), ctxs: make([]colCtx, k), opts: &opts.Transform, out: out}
-	maxCard := 0
-	for j, col := range rel.Columns {
-		// Building a text column's 3-gram sets scans every distinct value;
-		// honor cancellation between columns.
-		if err := ctx.Err(); err != nil {
-			return fdxerr.Cancelled(err)
-		}
-		ps.ctxs[j].col = col
-		if col.Type == dataset.Numeric {
-			ps.ctxs[j].scale = numericScale(col, rows)
-			ps.approx = append(ps.approx, j)
-		}
-		if col.Type == dataset.Text && opts.Transform.TextSimilarity {
-			ps.ctxs[j].grams = buildTextGrams(col)
-			ps.approx = append(ps.approx, j)
-		}
-		if c := col.Cardinality(); c > maxCard {
-			maxCard = c
-		}
-		codes := col.Codes()
-		for i, r := range rows {
-			ps.codes[i*k+j] = codes[r]
-		}
-	}
+	n, k := len(ps.rows), rel.NumCols()
 
 	workers := min(resolveWorkers(opts.Transform.Workers), k)
 	tsp.Attr("rows", n)
@@ -185,8 +150,8 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts Options, out
 			defer dtPool.Put(wbufs)
 			sorted := grow(&wbufs.ints, n)
 			keys := grow(&wbufs.codes, n)
-			counts := grow(&wbufs.counts, maxCard+1)
-			acc := grow(&wbufs.words, k)
+			counts := grow(&wbufs.counts, ps.maxCard+1)
+			xacc := grow(&wbufs.words, len(ps.exc))
 			for attr := range attrCh {
 				// Cancelled: keep draining the channel so the feeder never
 				// blocks, but stop doing work.
@@ -194,17 +159,19 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts Options, out
 					continue
 				}
 				bsp := wsp.Child("block")
-				bsp.Attr("attr", rel.Columns[attr].Name)
+				col := rel.Columns[attr]
+				bsp.Attr("attr", col.Name)
 				faults.Sleep(faults.SlowStage)
-				for i := range keys {
-					keys[i] = ps.codes[i*k+attr]
+				codes := col.Codes()
+				for i, r := range ps.rows {
+					keys[i] = codes[r]
 				}
-				sortByCode(sorted, keys, counts[:rel.Columns[attr].Cardinality()+1])
+				sortByCode(sorted, keys, counts[:col.Cardinality()+1])
 				for j0 := 0; j0 < n; j0 += pollPairs {
 					if ctx.Err() != nil {
 						break
 					}
-					ps.block(attr, sorted, j0, min(j0+pollPairs, n), acc)
+					ps.block(attr, sorted, j0, min(j0+pollPairs, n), xacc)
 				}
 				bsp.End()
 			}
@@ -229,12 +196,15 @@ func transformInto(ctx context.Context, rel *dataset.Relation, opts Options, out
 // accumulators are reset where they are used).
 var dtPool = sync.Pool{New: func() any { return new(dtBuf) }}
 
-// dtBuf is one user's working memory for a transform: the coordinator's
-// sampled rows and row-major codes, a worker's sort order, sort keys,
-// counting-sort counts and word accumulators, or Absorb's bit store.
+// dtBuf is one user's working memory for a transform. The coordinator
+// holds the sampled rows (ints), the byte matrix (bytes) and the
+// exception columns' int32 matrix (codes). A worker holds its sort order
+// (ints), sort keys (codes), counting-sort counts and the exception
+// columns' word accumulators (words). Absorb holds its bit store (words).
 type dtBuf struct {
 	ints, counts []int
 	codes        []int32
+	bytes        []uint8
 	words        []uint64
 }
 
@@ -247,62 +217,225 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
+// byteWide is the cardinality from which a column leaves the byte-packed
+// compare: below it every code fits a byte that is not 0xFF.
+const byteWide = 255
+
 // pairScan is the read-only state the transform workers share: the
-// sampled tuples (rows) and their row-major codes, the comparison
-// contexts, the attributes whose unequal codes may still match (numeric
-// tolerance, text similarity), and the output store.
+// sampled tuples (rows, in shuffled order), their codes in two row-major
+// matrices, the comparison contexts and the output store.
+//
+// Position i of the byte matrix (tuple rows[i]) is a row of kb bytes:
+// byte l is column l's code while the column has cardinality below
+// byteWide and is exact, and 0xFF for Missing, for every other column and
+// for the padding. kb is the last byte-path column rounded up to a
+// multiple of 8 (0 when there is none), so a pair compares 8 columns per
+// uint64. The exception columns, exc, are the rest: cardinality ≥
+// byteWide, or approximate (numeric tolerance, text similarity; approx
+// holds their positions in exc). Their codes sit in xcodes, n rows of
+// len(exc), compared per pair as the int32 codes they are. maxCard, the
+// largest cardinality, sizes the workers' counting sorts.
 type pairScan struct {
-	k      int
-	rows   []int
-	codes  []int32
-	ctxs   []colCtx
-	approx []int
-	opts   *TransformOptions
-	out    *PairBits
+	kb      int
+	maxCard int
+	bytes   []uint8
+	exc     []int
+	xcodes  []int32
+	approx  []int
+	rows    []int
+	ctxs    []colCtx
+	opts    *TransformOptions
+	out     *PairBits
+}
+
+// newPairScan shuffles the tuple order with opts.Seed, samples
+// opts.Transform.MaxRows of it, and builds the comparison contexts and
+// both code matrices in bufs. opts.Transform must have defaults applied.
+func newPairScan(ctx context.Context, rel *dataset.Relation, opts Options, bufs *dtBuf, out *PairBits) (*pairScan, error) {
+	n, k := rel.NumRows(), rel.NumCols()
+	rng := rand.New(rand.NewSource(opts.Seed))
+	rows := grow(&bufs.ints, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	rng.Shuffle(n, func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	if m := opts.Transform.MaxRows; m > 0 && n > m {
+		rows = rows[:m]
+		n = m
+	}
+
+	// The per-column comparison contexts: numeric scales for approximate
+	// equality, 3-gram sets per distinct text value.
+	ps := &pairScan{rows: rows, ctxs: make([]colCtx, k), opts: &opts.Transform, out: out}
+	last := -1
+	for j, col := range rel.Columns {
+		// Building a text column's 3-gram sets scans every distinct value;
+		// honor cancellation between columns.
+		if err := ctx.Err(); err != nil {
+			return nil, fdxerr.Cancelled(err)
+		}
+		ps.ctxs[j].col = col
+		approx := false
+		if col.Type == dataset.Numeric {
+			ps.ctxs[j].scale = numericScale(col, rows)
+			approx = true
+		}
+		if col.Type == dataset.Text && opts.Transform.TextSimilarity {
+			ps.ctxs[j].grams = buildTextGrams(col)
+			approx = true
+		}
+		ps.maxCard = max(ps.maxCard, col.Cardinality())
+		switch {
+		case approx:
+			ps.approx = append(ps.approx, len(ps.exc))
+			ps.exc = append(ps.exc, j)
+		case col.Cardinality() >= byteWide:
+			ps.exc = append(ps.exc, j)
+		default:
+			last = j
+		}
+	}
+
+	ps.kb = (last + 8) / 8 * 8
+	ps.bytes = grow(&bufs.bytes, n*ps.kb)
+	for i := range ps.bytes {
+		ps.bytes[i] = 0xFF
+	}
+	nx := len(ps.exc)
+	ps.xcodes = grow(&bufs.codes, n*nx)
+	x := 0 // the next exception column's position in exc
+	for j, col := range rel.Columns {
+		if err := ctx.Err(); err != nil {
+			return nil, fdxerr.Cancelled(err)
+		}
+		codes := col.Codes()
+		if x < nx && ps.exc[x] == j {
+			for i, r := range rows {
+				ps.xcodes[i*nx+x] = codes[r]
+			}
+			x++
+			continue
+		}
+		// uint8(Missing) is 0xFF.
+		for i, r := range rows {
+			ps.bytes[i*ps.kb+j] = uint8(codes[r])
+		}
+	}
+	return ps, nil
 }
 
 // block writes stratum attr's bits for pairs [j0, j1), where pair j joins
 // sorted positions j and j+1 (circularly). j0 is a multiple of 64, so
 // the block covers whole words of every column (the last one zero-padded
-// past the stratum's end); acc is a length-k scratch of word
-// accumulators. Panics if acc is not length k.
-func (ps *pairScan) block(attr int, sorted []int, j0, j1 int, acc []uint64) {
-	k, n := ps.k, len(sorted)
-	if len(acc) != k {
-		panic("core: pairScan.block accumulator is not length k")
+// past the stratum's end). xacc is a scratch of one word per exception
+// column.
+//
+// The byte path takes one 64-pair word and one group of 8 byte-matrix
+// columns at a time. It loads each of the word's 65 tuples' 8 bytes once
+// (pair q joins tuples q and q+1), XORs neighbours, and flags with bit 7
+// the bytes that are zero in the XOR and not 0xFF in the first tuple
+// (zeroHigh). Shifted right by 7−q, pair q's flag for column l lands in
+// bit q of byte l, so 8 pairs fill one register holding a byte per
+// column. The word's 8 registers, transposed by byte (transposeBytes),
+// are the group's 8 column words. The exception columns then compare
+// their int32 codes per pair, as equal and not Missing, and the
+// approximate ones try the difference operator on unequal codes. Panics
+// if xacc is not one word per exception column.
+//
+// fdx:zero-alloc
+func (ps *pairScan) block(attr int, sorted []int, j0, j1 int, xacc []uint64) {
+	n, k, kb, nx := len(sorted), ps.out.k, ps.kb, len(ps.exc)
+	if len(xacc) != nx {
+		panic("core: pairScan.block scratch is not one word per exception column")
 	}
+	var pos [65]int
 	for w0 := j0; w0 < j1; w0 += 64 {
-		w1 := min(w0+64, j1)
-		for l := range acc {
-			acc[l] = 0
+		m, w := min(64, j1-w0), w0>>6
+		for q := 0; q <= m && kb > 0; q++ {
+			j := w0 + q
+			if j >= n {
+				j -= n
+			}
+			pos[q] = sorted[j]
 		}
-		for j := w0; j < w1; j++ {
+		for c := 0; c < kb; c += 8 {
+			a := binary.LittleEndian.Uint64(ps.bytes[pos[0]*kb+c:])
+			absent := zeroHigh(^a)
+			var t [8]uint64
+			for p := 0; 8*p < m; p++ {
+				for q := 0; q < min(8, m-8*p); q++ {
+					b := binary.LittleEndian.Uint64(ps.bytes[pos[8*p+q+1]*kb+c:])
+					t[p] |= (zeroHigh(a^b) &^ absent) >> (7 - q)
+					a, absent = b, zeroHigh(^b)
+				}
+			}
+			transposeBytes(&t)
+			for l, word := range t[:min(8, k-c)] {
+				ps.out.col(attr, c+l)[w] = word
+			}
+		}
+		if nx == 0 {
+			continue
+		}
+		clear(xacc)
+		for j := w0; j < w0+m; j++ {
 			next := j + 1
 			if next == n {
 				next = 0
 			}
 			pa, pb := sorted[j], sorted[next]
-			ra := ps.codes[pa*k : pa*k+k]
-			rb := ps.codes[pb*k : pb*k+k]
-			rb, acc := rb[:len(ra)], acc[:len(ra)]
-			sh := uint(j-w0) & 63
-			for l, ca := range ra {
+			xa := ps.xcodes[pa*nx : pa*nx+nx]
+			xb := ps.xcodes[pb*nx : pb*nx+nx]
+			xb, xacc := xb[:len(xa)], xacc[:len(xa)]
+			bit := uint(j-w0) & 63
+			for e, ca := range xa {
 				// Branch-free: 1 iff the codes are equal and not Missing
 				// (−1, the only negative code).
-				same := (uint64(uint32(ca^rb[l])) - 1) >> 63
+				same := (uint64(uint32(ca^xb[e])) - 1) >> 63
 				present := ^uint64(int64(ca)) >> 63
-				acc[l] |= (same & present) << sh
+				xacc[e] |= (same & present) << bit
 			}
-			for _, l := range ps.approx {
-				if ca, cb := ra[l], rb[l]; ca != cb && cellsEqual(&ps.ctxs[l], ps.rows[pa], ps.rows[pb], ca, cb, ps.opts) {
-					acc[l] |= 1 << sh
+			for _, e := range ps.approx {
+				l := ps.exc[e]
+				if ca, cb := xa[e], xb[e]; ca != cb && cellsEqual(&ps.ctxs[l], ps.rows[pa], ps.rows[pb], ca, cb, ps.opts) {
+					xacc[e] |= 1 << bit
 				}
 			}
 		}
-		w := w0 >> 6
-		for l, word := range acc {
-			ps.out.col(attr, l)[w] = word
+		for e, l := range ps.exc {
+			ps.out.col(attr, l)[w] = xacc[e]
 		}
+	}
+}
+
+// zeroHigh returns 0x80 in each byte of v that is zero and 0x00 in every
+// other byte: an exact per-byte test, since no byte's sum carries into
+// the next.
+//
+// fdx:zero-alloc
+func zeroHigh(v uint64) uint64 {
+	const low7 = 0x7F7F7F7F7F7F7F7F
+	return ^((v&low7 + low7) | v | low7)
+}
+
+// transposeBytes transposes the 8×8 byte matrix whose row p is t[p] and
+// whose column l is byte l of each word: afterwards byte p of t[l] is
+// what byte l of t[p] was. It swaps the off-diagonal 4×4, then 2×2, then
+// 1×1 blocks.
+//
+// fdx:zero-alloc
+func transposeBytes(t *[8]uint64) {
+	for p := 0; p < 4; p++ {
+		x, y := t[p], t[p+4]
+		t[p], t[p+4] = x&0x00000000FFFFFFFF|y<<32, x>>32|y&0xFFFFFFFF00000000
+	}
+	for _, p := range [4]int{0, 1, 4, 5} {
+		x, y := t[p], t[p+2]
+		t[p], t[p+2] = x&0x0000FFFF0000FFFF|(y&0x0000FFFF0000FFFF)<<16, x>>16&0x0000FFFF0000FFFF|y&0xFFFF0000FFFF0000
+	}
+	for p := 0; p < 8; p += 2 {
+		x, y := t[p], t[p+1]
+		t[p], t[p+1] = x&0x00FF00FF00FF00FF|(y&0x00FF00FF00FF00FF)<<8, x>>8&0x00FF00FF00FF00FF|y&0xFF00FF00FF00FF00
 	}
 }
 

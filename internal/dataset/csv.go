@@ -3,6 +3,7 @@ package dataset
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -20,7 +21,9 @@ const inferenceSample = 1000
 // Empty cells are NULLs.
 //
 // The input is read in one pass, each cell interned straight into its
-// column, so memory is the dictionaries plus one code per cell. It accepts
+// column's dictionary and its code appended to a compact per-column
+// stream (codeStream); each column's code slice is built once, at its
+// exact length, when the input ends. It accepts
 // exactly what encoding/csv's Reader with default settings accepts, and
 // rejects the rest with the error that Reader returns: a *csv.ParseError
 // wrapping csv.ErrQuote, csv.ErrBareQuote or csv.ErrFieldCount, or the
@@ -35,6 +38,7 @@ func ReadCSV(name string, r io.Reader) (*Relation, error) {
 		rel.Columns = append(rel.Columns, NewColumn(h, Categorical))
 	}
 	d.header, d.cols = nil, rel.Columns
+	d.streams = make([]codeStream, len(d.cols))
 	for {
 		err := d.record()
 		if err == io.EOF {
@@ -44,7 +48,8 @@ func ReadCSV(name string, r io.Reader) (*Relation, error) {
 			return nil, fmt.Errorf("dataset: reading CSV row: %w", err)
 		}
 	}
-	for _, c := range rel.Columns {
+	for j, c := range rel.Columns {
+		c.codes = d.streams[j].codes()
 		c.Type = c.inferredType()
 	}
 	return rel, nil
@@ -100,9 +105,61 @@ type csvDecoder struct {
 	raw     []byte // a line longer than r's buffer
 	quoted  []byte // the unescaped bytes of the current quoted field
 
-	header []string  // the first record's fields, while it is read
-	cols   []*Column // the relation's columns, after the header
-	nf     int       // fields of the current record
+	header  []string     // the first record's fields, while it is read
+	cols    []*Column    // the relation's columns, after the header
+	streams []codeStream // each column's codes, until the input ends
+	nf      int          // fields of the current record
+}
+
+// codeStream collects one column's codes while ReadCSV decodes: the
+// uvarint of code+1 (0 for Missing) per cell, in chunks that double from
+// firstChunk to maxChunk bytes. A dictionary of at most 127 values
+// takes one byte a cell, against the four of an int32 that append would
+// regrow and copy several times over.
+type codeStream struct {
+	full [][]byte // the chunks before cur
+	cur  []byte
+	n    int // cells
+}
+
+const firstChunk, maxChunk = 64, 1 << 16
+
+func (s *codeStream) add(code int32) {
+	if cap(s.cur)-len(s.cur) < binary.MaxVarintLen32 {
+		size := firstChunk
+		if s.cur != nil {
+			s.full = append(s.full, s.cur)
+			size = min(2*cap(s.cur), maxChunk)
+		}
+		s.cur = make([]byte, 0, size)
+	}
+	if v := uint32(code + 1); v < 0x80 {
+		n := len(s.cur)
+		s.cur = s.cur[:n+1]
+		s.cur[n] = byte(v)
+	} else {
+		s.cur = binary.AppendUvarint(s.cur, uint64(v))
+	}
+	s.n++
+}
+
+// codes decodes the stream into one slice of exactly its length.
+func (s *codeStream) codes() []int32 {
+	out := make([]int32, s.n)
+	i := 0
+	for _, c := range append(s.full, s.cur) {
+		for j := 0; j < len(c); i++ {
+			if b := c[j]; b < 0x80 {
+				out[i] = int32(b) - 1
+				j++
+				continue
+			}
+			v, m := binary.Uvarint(c[j:])
+			out[i] = int32(v) - 1
+			j += m
+		}
+	}
+	return out
 }
 
 // readLine returns the next line with its '\n', "\r\n" folded to "\n"
@@ -155,9 +212,9 @@ func (d *csvDecoder) field(b []byte) {
 		d.header = append(d.header, string(b))
 	case d.nf >= len(d.cols): // a ragged record, rejected once it ends
 	case len(b) == 0:
-		d.cols[d.nf].AppendMissing()
+		d.streams[d.nf].add(Missing)
 	default:
-		d.cols[d.nf].AppendBytes(b)
+		d.streams[d.nf].add(d.cols[d.nf].codeOfBytes(b))
 	}
 	d.nf++
 }

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 )
 
 // The CSV decode: ReadCSV against its encoding/csv oracle, accepting and
@@ -299,5 +301,73 @@ func TestReadCSVTypes(t *testing.T) {
 				t.Errorf("%.40q...: column %d is %v, want %v", c.data, j, col.Type, c.want[j])
 			}
 		}
+	}
+}
+
+// TestReadCSVCodeStreamWidths reads columns whose codes cross every
+// uvarint length the code stream uses below 2²¹ values (1, 2 and 3
+// bytes), with NULLs between them, and matches the oracle code for code.
+func TestReadCSVCodeStreamWidths(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("wide,small,null\n")
+	for i := 0; i < 20000; i++ {
+		switch {
+		case i%11 == 5:
+			fmt.Fprintf(&b, ",s%d,\n", i%3)
+		default:
+			fmt.Fprintf(&b, "w%d,s%d,\n", i, i%3)
+		}
+	}
+	data := b.String()
+	rel := checkCSVParity(t, "20,000 distinct values", func() io.Reader { return strings.NewReader(data) })
+	if got := rel.Columns[0].Cardinality(); got <= 1<<14 {
+		t.Fatalf("wide column has %d values, want more than %d", got, 1<<14)
+	}
+}
+
+// TestReadCSVAllocBound bounds what ReadCSV allocates on a tall,
+// small-domain CSV (50,000 rows × 37 columns of at most 4 values, the
+// benchmark's Alarm shape): under twice the relation it returns, its
+// final codes plus dictionaries. Growing each column's codes by append
+// allocated about four times the final codes.
+func TestReadCSVAllocBound(t *testing.T) {
+	const rows, cols = 50000, 37
+	var b strings.Builder
+	for j := 0; j < cols; j++ {
+		if j > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "a%d", j)
+	}
+	b.WriteByte('\n')
+	state := uint32(1)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if j > 0 {
+				b.WriteByte(',')
+			}
+			state = state*1664525 + 1013904223
+			b.WriteString([]string{"LOW", "NORMAL", "HIGH", "ZERO"}[state>>30&3%uint32(2+j%3)])
+		}
+		b.WriteByte('\n')
+	}
+	data := b.String()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rel, err := ReadCSV("tall", strings.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := 0
+	for _, c := range rel.Columns {
+		final += 4 * c.Len()
+		for _, v := range c.dict {
+			final += len(v) + int(unsafe.Sizeof(v))
+		}
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2*uint64(final) {
+		t.Errorf("ReadCSV allocated %d bytes for a relation of %d (codes and dictionaries), want under 2×", got, final)
 	}
 }

@@ -123,18 +123,21 @@ func (c *Column) AppendValue(v string) { c.codes = append(c.codes, c.CodeOf(v)) 
 // dictionary. A value already in the dictionary costs no allocation, and
 // one recently appended usually no map lookup; a new one is copied into a
 // fresh string, so the column never aliases b.
-func (c *Column) AppendBytes(b []byte) {
+func (c *Column) AppendBytes(b []byte) { c.codes = append(c.codes, c.codeOfBytes(b)) }
+
+// codeOfBytes returns the dictionary code of the value b, interning a copy
+// of it if new.
+func (c *Column) codeOfBytes(b []byte) int32 {
 	slot := &c.recent[recentSlot(b)]
 	if code := *slot - 1; code >= 0 && c.dict[code] == string(b) {
-		c.codes = append(c.codes, code)
-		return
+		return code
 	}
 	code, ok := c.index[string(b)]
 	if !ok {
 		code = c.intern(string(b))
 	}
 	*slot = code + 1
-	c.codes = append(c.codes, code)
+	return code
 }
 
 // recentSlots is the size of Column.recent, a power of two.
