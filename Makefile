@@ -73,8 +73,9 @@ test-serve:
 # Sharded-discovery chaos suite under the race detector: the supervised
 # `fdx stream -shards` workers with ShardCrash/ShardStall/MergeCorrupt
 # armed (crash at every checkpoint boundary → bit-identical to the 1-shard
-# run), the shard-shipping service API (idempotent seq handling, corrupt
-# and mismatched snapshots rejected typed), the built-binary fdxd
+# run), the kill/drain-then-resume sweep across shard counts, the
+# shard-shipping service API (coverage dedup, corrupt and mismatched
+# snapshots rejected typed), the built-binary fdxd
 # kill-and-resume ship test, and the library-level determinism sweep.
 test-shard:
 	$(GO) test -race -run 'Shard' ./cmd/fdx ./internal/serve/... ./cmd/fdxd .

@@ -13,14 +13,15 @@
 //
 // The stream subcommand feeds the relation through the incremental
 // Accumulator in fixed-size batches on -shards supervised local workers
-// (default 1). Each worker is its own crash domain with its own checkpoint
-// and WAL: it write-ahead-logs every batch and durably checkpoints every
-// -every batches, and the worker states merge into the main checkpoint at
-// the end, bit-identically at any shard count. Killed at any point — even
-// mid-write — a rerun with the same flags resumes from the checkpoints,
-// re-absorbs only the unsaved batches, and produces the same dependencies
-// as an uninterrupted run. With -ship URL the shard snapshots travel to an
-// fdxd session instead and discovery runs server-side; -trace then
+// (default 1). Each worker is its own crash domain with its own scratch
+// checkpoint and WAL: it write-ahead-logs every batch and durably
+// checkpoints every -every batches, and the worker states merge into the
+// main checkpoint by batch coverage when the run ends, bit-identically at
+// any shard count. Killed at any point — even mid-write — a rerun at any
+// -shards merges the states it finds, re-absorbs only the unsaved
+// batches, and produces the same dependencies as an uninterrupted run.
+// With -ship URL every state also travels to an fdxd session and
+// discovery runs server-side; -trace then
 // captures supervisor, worker, and fdxd server spans in one file under one
 // trace id.
 //
@@ -283,24 +284,20 @@ func runStream(args []string) int {
 	}
 
 	// The batch grid is a pure function of the input and -batch, so a
-	// resumed run rebuilds the same batches and skips the absorbed prefix.
+	// resumed run rebuilds the same batches and skips those it covers.
 	total := rel.NumRows() / *batchRows
 	if tail := rel.NumRows() % *batchRows; tail >= 2 {
 		total++
 	}
-	if acc.Batches() > total {
-		return fail(fmt.Errorf("checkpoint has %d batches but %s yields only %d with -batch %d: %w",
-			acc.Batches(), fs.Arg(0), total, *batchRows, fdx.ErrBadInput))
-	}
-
-	// Supervised workers absorb disjoint spans of the grid into their own
-	// checkpoints, then merge into the main one (bit-identical at any shard
-	// count). With -ship the merge happens remotely: snapshots travel to an
-	// fdxd session and discovery runs server-side.
+	// Supervised workers absorb the batches the checkpoint lacks into their
+	// own scratch checkpoints, which fold into the main one (bit-identical
+	// at any shard count). With -ship every state also travels to an fdxd
+	// session and discovery runs server-side.
 	cfg := shardedConfig{
 		ckpt:       *ckpt,
 		every:      *every,
 		batchRows:  *batchRows,
+		rows:       rel.NumRows(),
 		total:      total,
 		shards:     *shards,
 		retries:    *shardTries,
@@ -313,14 +310,17 @@ func runStream(args []string) int {
 		session:    *session,
 		tenant:     *tenant,
 	}
+	if err := cfg.checkGrid(acc, *ckpt); err != nil {
+		return fail(err)
+	}
 	if *ship != "" {
 		err = runShippedStream(ctx, rel, *opts, acc, cfg, tel)
 	} else {
-		acc, err = runShardedStream(ctx, rel, *opts, acc, cfg)
+		err = runShardedStream(ctx, rel, *opts, acc, cfg)
 	}
 	if err != nil {
 		if draining.Load() && errors.Is(err, fdx.ErrCancelled) {
-			fmt.Fprintf(os.Stderr, "fdx: SIGTERM: shard checkpoints saved, exiting cleanly; rerun to resume\n")
+			fmt.Fprintf(os.Stderr, "fdx: SIGTERM: absorbed batches saved to %s, exiting cleanly; rerun to resume\n", *ckpt)
 			return 0
 		}
 		return fail(err)

@@ -1,31 +1,44 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fdx"
 	"fdx/internal/faults"
+	"fdx/internal/fdxerr"
 	"fdx/internal/obs"
 	"fdx/internal/serve/retry"
 )
 
-// Sharded streaming: `fdx stream -shards N` splits the batch grid into N
-// contiguous spans and absorbs them concurrently, one supervised worker
-// per shard; the default -shards 1 is a single supervised worker. Each
-// worker is its own crash domain with its own checkpoint and WAL (at
-// <checkpoint>.shard-<s>-of-<N>); a worker that crashes or stalls is
-// restarted from that state and re-absorbs only its own unsaved batches. When every span is absorbed, the shard states are
-// folded into the main checkpoint through fdx.MergeShards, whose result
-// is bit-identical at any shard count — every batch keeps its global
-// transform seed no matter which shard absorbed it.
+// Sharded streaming: `fdx stream -shards N` absorbs the batch grid through
+// N supervised workers; the default -shards 1 is one worker. Each worker is
+// its own crash domain with a scratch checkpoint and WAL at
+// <checkpoint>.shard-<s>; a worker that crashes or stalls is restarted from
+// that state and re-absorbs only its own unsaved batches.
+//
+// Batch coverage is the one resume rule. Every saved state records the
+// global batches it holds, and batch i keeps transform seed Seed + i
+// whichever worker absorbs it, so states fold through Accumulator.Merge —
+// integer addition, bit-identical at any shard count and in any order.
+// Before the workers start, and again when they stop (done, drained,
+// interrupted or crashed), foldScratch merges every <checkpoint>.shard-*
+// state into the main checkpoint, whatever shard count wrote it: a
+// disjoint state merges, a contained one is a no-op, and a partially
+// overlapping or foreign one is dropped, so its batches are absorbed again.
+// The main checkpoint is then saved and every scratch file removed. The
+// workers split only the batches the main checkpoint does not cover, so one
+// worker's span may be several ranges of the grid.
 
 // errShardCrash is the simulated kill the ShardCrash fault injects at a
 // worker's checkpoint boundary; the supervisor treats it (like any
@@ -41,123 +54,233 @@ type shardedConfig struct {
 	ckpt       string
 	every      int
 	batchRows  int
+	rows       int // rows in the input relation
 	total      int // batches in the whole grid
 	shards     int
-	retries    int           // worker restarts / merge re-reads beyond the first attempt
+	retries    int           // worker restarts / scratch re-reads beyond the first attempt
 	stall      time.Duration // watchdog: restart a worker silent this long (0 = off)
 	batchDelay time.Duration // sleep after each batch (throttle for live inspection)
 	verbose    bool
-	obs        obs.Hooks    // supervisor telemetry; runShardedStream nests it under the root span
+	obs        obs.Hooks    // supervisor telemetry; startStream nests it under the root span
 	log        *slog.Logger // structured supervisor events (shard_restart, shard_stall, ...)
 	ship       string       // fdxd base URL; "" keeps the merge local
 	session    string       // fdxd session id for -ship
 	tenant     string       // X-Fdx-Tenant for -ship
 }
 
+// shipFunc sends one saved state's snapshot to the -ship session before
+// it is folded into the main checkpoint; nil keeps the run local.
+type shipFunc func(ctx context.Context, snap []byte) error
+
 // shardHooks returns the supervisor hooks with shard s's metric label, so
-// restart/stall/ship counters split per shard on /metrics.
+// restart and stall counters split per shard on /metrics.
 func (cfg *shardedConfig) shardHooks(s int) obs.Hooks {
 	h := cfg.obs
 	h.Labels = []string{"shard", strconv.Itoa(s)}
 	return h
 }
 
-// shardPath names shard s's private checkpoint; its WAL lives at the
-// usual +fdx.WALSuffix. The shard count is part of the name so changing
-// -shards never resumes against a span layout the file was not built for.
+// shardPath names worker s's scratch checkpoint; its WAL lives at the
+// usual +fdx.WALSuffix.
 func (cfg *shardedConfig) shardPath(s int) string {
-	return fmt.Sprintf("%s.shard-%d-of-%d", cfg.ckpt, s, cfg.shards)
+	return fmt.Sprintf("%s.shard-%d", cfg.ckpt, s)
 }
 
-// runShardedStream absorbs the batch grid [base.NextGlobal(), cfg.total)
-// through supervised shard workers, merges the shard states into base,
-// durably saves the result to cfg.ckpt, and returns it. On any other error
-// the main checkpoint is untouched; shard checkpoints hold whatever their
-// workers last saved, so a rerun at the same -shards resumes rather than
-// restarts. A lone worker stopped by a drain or interrupt saved the
-// contiguous prefix it absorbed, so that prefix is merged into the main
-// checkpoint before the error returns, and a rerun at any -shards resumes
-// from it.
-func runShardedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, cfg shardedConfig) (*fdx.Accumulator, error) {
-	if cov := base.Coverage(); len(cov) == 1 && cov[0].Lo == 0 && cov[0].Hi == cfg.total {
-		// A previous run already merged the full grid; nothing to absorb.
-		return base, nil
+// checkGrid refuses a restored state whose row count differs from the
+// rows the current -batch grid puts in its coverage: the state was
+// absorbed under another -batch or from another input, and resuming it
+// would skip or double-count rows.
+func (cfg *shardedConfig) checkGrid(acc *fdx.Accumulator, path string) error {
+	const hint = "rerun with the -batch and input the stream started with"
+	cov, want := acc.Coverage(), 0
+	for _, r := range cov {
+		if r.Hi > cfg.total {
+			return fdxerr.BadInput("%s covers batches %v, past the %d batches -batch %d gives this input; %s",
+				path, cov, cfg.total, cfg.batchRows, hint)
+		}
+		want += min(r.Hi*cfg.batchRows, cfg.rows) - r.Lo*cfg.batchRows
 	}
-	// Root supervisor span: workers fan out beneath it on their own tracks,
-	// and it must end before the trace file is written, so no defer-to-exit.
+	if acc.Rows() != want {
+		return fdxerr.BadInput("%s holds %d rows in batches %v, but -batch %d puts %d rows there; %s",
+			path, acc.Rows(), cov, cfg.batchRows, want, hint)
+	}
+	return nil
+}
+
+// startStream opens the run's root supervisor span and nests the
+// supervisor's telemetry under it. Workers fan out beneath it on their own
+// tracks; the caller ends it before the trace file is written.
+func startStream(cfg shardedConfig) (*obs.Span, shardedConfig) {
 	root := cfg.obs.Start("stream")
-	defer root.End()
 	root.Attr("shards", cfg.shards)
 	cfg.obs = cfg.obs.Under(root)
 	cfg.log = supervisorLogger(cfg.log, root)
-
-	spans, err := absorbShards(ctx, rel, opts, base, cfg)
-	if err != nil {
-		if cfg.shards == 1 && errors.Is(err, fdx.ErrCancelled) {
-			if _, serr := os.Stat(cfg.shardPath(0)); serr == nil {
-				// The worker's span is [begin, total) and it stopped at g, so
-				// its state covers [begin, g): base extends to [0, g).
-				if _, merr := mergeShards(context.WithoutCancel(ctx), rel, opts, base, spans, cfg); merr != nil {
-					return nil, merr
-				}
-			}
-		}
-		return nil, err
-	}
-	return mergeShards(ctx, rel, opts, base, spans, cfg)
+	return root, cfg
 }
 
-// mergeShards is phase 2 of the local sharded stream: fold the shard
-// checkpoints of spans into base, durably save the result to cfg.ckpt, and
-// remove the shard files. On error the main checkpoint is untouched.
-func mergeShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, spans []fdx.BatchRange, cfg shardedConfig) (*fdx.Accumulator, error) {
-	// Each shard snapshot is re-read from disk through the
-	// checkpoint decoder — fully validated before it can touch any state —
-	// and the shard accumulators fold into base in shard order. A snapshot
-	// that reads corrupt is retried (the file may be mid-rewrite or the
-	// corruption transient); persistent corruption surfaces the typed error
-	// with the main checkpoint unharmed.
-	msp := cfg.obs.Start("merge")
-	defer msp.End()
-	accs := []*fdx.Accumulator{base}
-	for s, span := range spans {
-		if span.Lo == span.Hi {
-			continue
-		}
-		acc, err := loadShardSnapshot(ctx, rel, opts, cfg.shardPath(s), s, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("merging shard %d: %w", s, err)
-		}
-		accs = append(accs, acc)
+// runShardedStream absorbs every batch main does not cover through
+// supervised workers and folds their states into main, which it leaves
+// durably saved to cfg.ckpt.
+func runShardedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, main *fdx.Accumulator, cfg shardedConfig) error {
+	root, cfg := startStream(cfg)
+	defer root.End()
+	return streamShards(ctx, rel, opts, main, cfg, nil)
+}
+
+// streamShards folds any scratch state left by an earlier run into main,
+// absorbs the batches main still lacks, and folds the workers' states in
+// whatever way the absorb ended. Both folds ignore cancellation, so a
+// drain or interrupt still leaves every saved batch in main and no
+// scratch file behind. A fold error outranks the absorb's.
+func streamShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, main *fdx.Accumulator, cfg shardedConfig, ship shipFunc) error {
+	fold := context.WithoutCancel(ctx)
+	if err := foldScratch(fold, opts, main, cfg, ship); err != nil {
+		return err
 	}
-	merged, err := fdx.MergeShards(accs)
+	err := absorbShards(ctx, rel, opts, planShards(main.Coverage(), cfg.total, cfg.shards), cfg)
+	if ferr := foldScratch(fold, opts, main, cfg, ship); ferr != nil {
+		return ferr
+	}
+	return err
+}
+
+// foldScratch merges every scratch state beside cfg.ckpt into main, in
+// file-name order; with ship set, each state that adds coverage is
+// shipped before main is saved with it. If any merged, main is saved and
+// its WAL reset; then every scratch file (snapshot, WAL, temp) is
+// removed. On error main's file is untouched and the scratch files stay
+// for the next run.
+func foldScratch(ctx context.Context, opts fdx.Options, main *fdx.Accumulator, cfg shardedConfig, ship shipFunc) error {
+	dir, prefix := filepath.Dir(cfg.ckpt), filepath.Base(cfg.ckpt)+".shard-"
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := merged.SaveCheckpoint(cfg.ckpt); err != nil {
-		return nil, err
-	}
-	// The merged snapshot covers everything; clear any stale main WAL so a
-	// rerun replays nothing, then drop the shard scratch files (recomputable
-	// from the input; best-effort).
-	if wal, werr := fdx.OpenWAL(cfg.ckpt + fdx.WALSuffix); werr == nil {
-		wal.Reset()
-		wal.Close()
-	}
-	for s, span := range spans {
-		if span.Lo == span.Hi {
+	var files []string
+	merged := 0
+	for _, e := range entries {
+		name := e.Name()
+		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		os.Remove(cfg.shardPath(s))
-		os.Remove(cfg.shardPath(s) + fdx.WALSuffix)
+		path := filepath.Join(dir, name)
+		files = append(files, path)
+		if strings.HasSuffix(name, fdx.WALSuffix) || strings.Contains(name, ".tmp-") {
+			continue
+		}
+		applied, err := foldState(ctx, opts, main, path, cfg, ship)
+		if err != nil {
+			return err
+		}
+		if applied {
+			merged++
+		}
 	}
-	msp.Attr("batches", merged.Batches())
-	cfg.log.Info("shards_merged", "shards", len(accs)-1, "checkpoint", cfg.ckpt, "batches", merged.Batches())
+	if len(files) == 0 {
+		return nil
+	}
+	if merged > 0 {
+		wal, err := fdx.OpenWAL(cfg.ckpt + fdx.WALSuffix)
+		if err != nil {
+			return err
+		}
+		err = saveAndReset(main, cfg.ckpt, wal)
+		wal.Close()
+		if err != nil {
+			return err
+		}
+	}
+	for _, path := range files {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	cfg.log.Info("shards_merged", "states", merged, "checkpoint", cfg.ckpt, "batches", main.Batches())
 	if cfg.verbose {
-		fmt.Fprintf(os.Stderr, "fdx: merged %d shards into %s (%d batches)\n",
-			len(accs)-1, cfg.ckpt, merged.Batches())
+		fmt.Fprintf(os.Stderr, "fdx: merged %d shard states into %s (%d batches)\n", merged, cfg.ckpt, main.Batches())
 	}
-	return merged, nil
+	return nil
+}
+
+// foldState reads one scratch state, WAL included, through the validating
+// snapshot decoder and merges it into main; with ship set, a state that
+// adds coverage is shipped before foldScratch saves main. A read that
+// surfaces corruption is retried (re-reading heals transient damage;
+// persistent damage keeps the typed error). A state whose rows do not fit
+// the batch grid is refused. A foreign or partially overlapping state is
+// dropped: applied=false, and its batches are absorbed again.
+func foldState(ctx context.Context, opts fdx.Options, main *fdx.Accumulator, path string, cfg shardedConfig, ship shipFunc) (applied bool, err error) {
+	var snap bytes.Buffer
+	var refused error
+	pol := retry.Policy{
+		Base:        25 * time.Millisecond,
+		Cap:         time.Second,
+		MaxAttempts: cfg.retries + 1,
+		Notify: func(attempt int, wait time.Duration, err error) {
+			if cfg.verbose {
+				fmt.Fprintf(os.Stderr, "fdx: reading %s failed (%v); re-reading in %v\n",
+					filepath.Base(path), err, wait)
+			}
+		},
+	}
+	err = pol.Do(ctx, func(int) (time.Duration, error) {
+		snap.Reset()
+		acc, err := fdx.LoadCheckpoint(path, opts)
+		if err == nil {
+			if refused = cfg.checkGrid(acc, path); refused != nil {
+				return 0, retry.Permanent(refused)
+			}
+			err = acc.Snapshot(&snap)
+		}
+		if err == nil {
+			applied, err = main.MergeSnapshot(bytes.NewReader(snap.Bytes()))
+		}
+		if errors.Is(err, fdx.ErrCorruptCheckpoint) {
+			return 0, err
+		}
+		return 0, retry.Permanent(err)
+	})
+	switch {
+	case refused != nil:
+		return false, refused
+	case errors.Is(err, fdx.ErrShardMismatch), errors.Is(err, fdx.ErrBadInput):
+		cfg.log.Warn("shard_dropped", "path", path, "error", err.Error())
+		if cfg.verbose {
+			fmt.Fprintf(os.Stderr, "fdx: dropping %s (%v); its batches are absorbed again\n", filepath.Base(path), err)
+		}
+		return false, nil
+	case err != nil:
+		return false, fmt.Errorf("folding %s: %w", filepath.Base(path), err)
+	}
+	if applied && ship != nil {
+		if err := ship(ctx, snap.Bytes()); err != nil {
+			return false, err
+		}
+	}
+	return applied, nil
+}
+
+// planShards splits the batches of [0, total) that cov does not cover
+// into shards contiguous runs, balanced like fdx.ShardSpans, and returns
+// each run as the grid ranges it spans.
+func planShards(cov []fdx.BatchRange, total, shards int) [][]fdx.BatchRange {
+	var free []int
+	for g := range total {
+		if !covers(cov, g) {
+			free = append(free, g)
+		}
+	}
+	plan := make([][]fdx.BatchRange, shards)
+	for s, sp := range fdx.ShardSpans(len(free), shards) {
+		for _, g := range free[sp.Lo:sp.Hi] {
+			if n := len(plan[s]); n > 0 && plan[s][n-1].Hi == g {
+				plan[s][n-1].Hi++
+			} else {
+				plan[s] = append(plan[s], fdx.BatchRange{Lo: g, Hi: g + 1})
+			}
+		}
+	}
+	return plan
 }
 
 // supervisorLogger binds the run's trace identity onto the supervisor's
@@ -172,32 +295,18 @@ func supervisorLogger(log *slog.Logger, root *obs.Span) *slog.Logger {
 	return log
 }
 
-// absorbShards is phase 1 of both sharded paths (local merge and -ship):
-// split the unabsorbed remainder of the batch grid into spans and run one
-// supervised worker per span, each its own crash domain. It returns the
-// spans even on error. On return with a nil error every span's shard
-// checkpoint holds its full coverage.
-func absorbShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, cfg shardedConfig) ([]fdx.BatchRange, error) {
-	// The main checkpoint may hold a prefix [0, begin) absorbed before this
-	// run (e.g. through the library's AddLogged); shards split only the
-	// remainder.
-	begin := base.NextGlobal()
-	spans := fdx.ShardSpans(cfg.total-begin, cfg.shards)
-	for i := range spans {
-		spans[i].Lo += begin
-		spans[i].Hi += begin
-	}
-
-	// One supervisor goroutine per non-empty span, each restarting its
-	// worker with backoff on crash or stall.
-	errs := make([]error, len(spans))
+// absorbShards runs one supervised worker per non-empty span of the plan,
+// each its own crash domain, and returns the lowest-index failure. On a
+// nil error every worker's scratch checkpoint holds its whole span.
+func absorbShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, plan [][]fdx.BatchRange, cfg shardedConfig) error {
+	errs := make([]error, len(plan))
 	var wg sync.WaitGroup
-	for s, span := range spans {
-		if span.Lo == span.Hi {
+	for s, span := range plan {
+		if len(span) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(s int, span fdx.BatchRange) {
+		go func(s int, span []fdx.BatchRange) {
 			defer wg.Done()
 			errs[s] = superviseShard(ctx, rel, opts, span, s, cfg)
 		}(s, span)
@@ -207,17 +316,19 @@ func absorbShards(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base
 		if err != nil {
 			// Workers past the failure saved their own checkpoints; report
 			// the lowest-index failure deterministically.
-			return spans, err
+			return err
 		}
 	}
-	return spans, nil
+	return nil
 }
 
 // superviseShard runs one shard's worker, restarting it with jittered
 // backoff when it crashes or stalls. Cancellation, bad input, and shard
 // mismatches are permanent; everything else gets cfg.retries restarts,
-// each resuming from the shard's own checkpoint and WAL.
-func superviseShard(ctx context.Context, rel *fdx.Relation, opts fdx.Options, span fdx.BatchRange, s int, cfg shardedConfig) error {
+// each resuming from the shard's own checkpoint and WAL. A cancelled run
+// always returns an error matching fdx.ErrCancelled, even when the
+// cancellation lands in a restart backoff.
+func superviseShard(ctx context.Context, rel *fdx.Relation, opts fdx.Options, span []fdx.BatchRange, s int, cfg shardedConfig) error {
 	var progress atomic.Int64
 	h := cfg.shardHooks(s)
 	pol := retry.Policy{
@@ -234,14 +345,14 @@ func superviseShard(ctx context.Context, rel *fdx.Relation, opts fdx.Options, sp
 			}
 		},
 	}
-	return pol.Do(ctx, func(attempt int) (time.Duration, error) {
+	err := pol.Do(ctx, func(attempt int) (time.Duration, error) {
 		// One span per attempt on the shard's own viewer track, so restarts
 		// show up as separate bars in the same lane.
 		wsp := cfg.obs.Start("shard")
 		defer wsp.End()
 		wsp.SetTrack(s + 2)
 		wsp.Attr("shard", s)
-		wsp.Attr("span", fmt.Sprintf("[%d,%d)", span.Lo, span.Hi))
+		wsp.Attr("span", fmt.Sprint(span))
 		if attempt > 0 {
 			wsp.Attr("attempt", attempt+1)
 		}
@@ -278,6 +389,12 @@ func superviseShard(ctx context.Context, rel *fdx.Relation, opts fdx.Options, sp
 			return 0, err
 		}
 	})
+	if err != nil && ctx.Err() != nil && !errors.Is(err, fdx.ErrCancelled) {
+		// The retry policy hands back the bare context error when the
+		// cancellation beats an attempt.
+		return fmt.Errorf("shard %d: %w", s, fdxerr.Cancelled(err))
+	}
+	return err
 }
 
 // watchShard cancels a worker attempt that reports no progress for the
@@ -310,37 +427,18 @@ func watchShard(ctx context.Context, cancel context.CancelFunc, progress *atomic
 	}
 }
 
-// runShardWorker absorbs one span of the batch grid into the shard's own
-// checkpoint state, write-ahead-logging every batch and durably
-// snapshotting every cfg.every batches, scoped to the span. A restart
-// resumes at the shard's own NextGlobal. With cfg.verbose every batch
-// prints a progress line.
-func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, span fdx.BatchRange, path string, cfg shardedConfig, progress *atomic.Int64) error {
+// runShardWorker absorbs the batches of span not yet in the worker's
+// scratch checkpoint, write-ahead-logging every batch and durably
+// snapshotting every cfg.every batches. A restart resumes from that
+// state. With cfg.verbose every batch prints a progress line.
+func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, span []fdx.BatchRange, path string, cfg shardedConfig, progress *atomic.Int64) error {
 	acc, err := fdx.LoadCheckpoint(path, opts)
-	switch {
-	case err == nil:
-		if !shardStateFits(acc, span) {
-			// A leftover file from a different span layout or input. Shard
-			// state is pure scratch — recomputable from the relation — so
-			// discard it and start the span over.
-			if cfg.verbose {
-				fmt.Fprintf(os.Stderr, "fdx: shard checkpoint %s covers %v, outside span %v; starting the span fresh\n",
-					path, acc.Coverage(), span)
-			}
-			os.Remove(path)
-			os.Remove(path + fdx.WALSuffix)
-			acc = nil
-		}
-	case errors.Is(err, os.ErrNotExist):
-		acc = nil
-	default:
-		return err
-	}
-	if acc == nil {
+	if errors.Is(err, os.ErrNotExist) {
 		acc = fdx.NewAccumulator(rel.AttrNames(), opts)
-		if err := acc.SaveCheckpoint(path); err != nil {
-			return err
-		}
+		err = acc.SaveCheckpoint(path)
+	}
+	if err != nil {
+		return err
 	}
 	wal, err := fdx.OpenWAL(path + fdx.WALSuffix)
 	if err != nil {
@@ -348,50 +446,49 @@ func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, sp
 	}
 	defer wal.Close()
 
-	start := acc.NextGlobal()
-	if start < span.Lo {
-		start = span.Lo
-	}
+	done := acc.Coverage()
 	sinceSave := 0
 	loopStart, startRows := time.Now(), acc.Rows()
-	for g := start; g < span.Hi; g++ {
-		if cerr := ctx.Err(); cerr != nil {
-			// Drain, interrupt, or stall watchdog: make what we absorbed
-			// durable so the restart (or the next run) resumes here.
-			if err := saveAndReset(acc, path, wal); err != nil {
+	for _, r := range span {
+		for g := r.Lo; g < r.Hi; g++ {
+			if covers(done, g) {
+				continue
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				// Drain, interrupt, or stall watchdog: make what we absorbed
+				// durable so the restart (or the fold) keeps it.
+				if err := saveAndReset(acc, path, wal); err != nil {
+					return err
+				}
+				return fmt.Errorf("shard worker stopped at batch %d of %v: %w", g, span, fdxerr.Cancelled(cerr))
+			}
+			faults.Sleep(faults.ShardStall)
+			lo := g * cfg.batchRows
+			hi := min(lo+cfg.batchRows, rel.NumRows())
+			if err := acc.AddLoggedAt(rel.Slice(lo, hi), g, wal); err != nil {
 				return err
 			}
-			return fmt.Errorf("shard worker stopped at batch %d/%v: %w: %w", g, span, fdx.ErrCancelled, cerr)
-		}
-		faults.Sleep(faults.ShardStall)
-		lo := g * cfg.batchRows
-		hi := lo + cfg.batchRows
-		if hi > rel.NumRows() {
-			hi = rel.NumRows()
-		}
-		if err := acc.AddLoggedAt(rel.Slice(lo, hi), g, wal); err != nil {
-			return err
-		}
-		progress.Add(1)
-		if cfg.verbose {
-			rate := float64(acc.Rows()-startRows) / time.Since(loopStart).Seconds()
-			fmt.Fprintf(os.Stderr, "fdx: batch %d/%d  %d rows absorbed  %.0f rows/s\n",
-				g+1, cfg.total, acc.Rows(), rate)
-		}
-		if cfg.batchDelay > 0 {
-			time.Sleep(cfg.batchDelay)
-		}
-		if sinceSave++; sinceSave == cfg.every {
-			// Checkpoint boundary: the crash fault kills the worker here,
-			// leaving up to cfg.every batches only in the WAL — exactly what
-			// the restart must replay.
-			if faults.Fire(faults.ShardCrash) {
-				return fmt.Errorf("shard worker at batch %d/%v: %w", g+1, span, errShardCrash)
+			progress.Add(1)
+			if cfg.verbose {
+				rate := float64(acc.Rows()-startRows) / time.Since(loopStart).Seconds()
+				fmt.Fprintf(os.Stderr, "fdx: batch %d/%d  %d rows absorbed  %.0f rows/s\n",
+					g+1, cfg.total, acc.Rows(), rate)
 			}
-			if err := saveAndReset(acc, path, wal); err != nil {
-				return err
+			if cfg.batchDelay > 0 {
+				time.Sleep(cfg.batchDelay)
 			}
-			sinceSave = 0
+			if sinceSave++; sinceSave == cfg.every {
+				// Checkpoint boundary: the crash fault kills the worker here,
+				// leaving up to cfg.every batches only in the WAL — exactly
+				// what the restart must replay.
+				if faults.Fire(faults.ShardCrash) {
+					return fmt.Errorf("shard worker at batch %d of %v: %w", g+1, span, errShardCrash)
+				}
+				if err := saveAndReset(acc, path, wal); err != nil {
+					return err
+				}
+				sinceSave = 0
+			}
 		}
 	}
 	if err := saveAndReset(acc, path, wal); err != nil {
@@ -405,49 +502,12 @@ func runShardWorker(ctx context.Context, rel *fdx.Relation, opts fdx.Options, sp
 	return nil
 }
 
-// shardStateFits reports whether a restored shard checkpoint belongs to
-// this span: empty, or a single absorbed prefix of it.
-func shardStateFits(acc *fdx.Accumulator, span fdx.BatchRange) bool {
-	cov := acc.Coverage()
-	if len(cov) == 0 {
-		return true
-	}
-	return len(cov) == 1 && cov[0].Lo == span.Lo && cov[0].Hi <= span.Hi
-}
-
-// loadShardSnapshot reads a completed shard's snapshot through the
-// validating merge decoder into a fresh accumulator, retrying reads that
-// surface corruption (re-reading heals transient damage; persistent
-// damage exhausts the attempts and keeps the typed error).
-func loadShardSnapshot(ctx context.Context, rel *fdx.Relation, opts fdx.Options, path string, s int, cfg shardedConfig) (*fdx.Accumulator, error) {
-	var acc *fdx.Accumulator
-	pol := retry.Policy{
-		Base:        25 * time.Millisecond,
-		Cap:         time.Second,
-		MaxAttempts: cfg.retries + 1,
-		Seed:        int64(s),
-		Notify: func(attempt int, wait time.Duration, err error) {
-			if cfg.verbose {
-				fmt.Fprintf(os.Stderr, "fdx: shard %d snapshot read %d failed (%v); re-reading in %v\n",
-					s, attempt+1, err, wait)
-			}
-		},
-	}
-	err := pol.Do(ctx, func(int) (time.Duration, error) {
-		f, err := os.Open(path)
-		if err != nil {
-			return 0, retry.Permanent(fmt.Errorf("%v: %w", err, fdx.ErrBadInput))
+// covers reports whether global batch g lies inside the coverage.
+func covers(cov []fdx.BatchRange, g int) bool {
+	for _, r := range cov {
+		if r.Lo <= g && g < r.Hi {
+			return true
 		}
-		defer f.Close()
-		a := fdx.NewAccumulator(rel.AttrNames(), opts)
-		if _, err := a.MergeSnapshot(f); err != nil {
-			if errors.Is(err, fdx.ErrCorruptCheckpoint) {
-				return 0, err
-			}
-			return 0, retry.Permanent(err)
-		}
-		acc = a
-		return 0, nil
-	})
-	return acc, err
+	}
+	return false
 }

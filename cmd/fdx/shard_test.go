@@ -279,7 +279,8 @@ func TestShardedStreamAfterSequentialPrefix(t *testing.T) {
 
 // TestShardSupervisorClassifiesErrors checks the supervisor's permanent-vs-
 // retryable split directly: a cancelled context is permanent (no retry
-// burn), a shard mismatch is permanent, and the typed errors flow out.
+// burn) and comes out as fdx.ErrCancelled, the drain contract runStream
+// keys on, as well as context.Canceled.
 func TestShardSupervisorClassifiesErrors(t *testing.T) {
 	rel, err := fdx.LoadCSV(csvPath)
 	if err != nil {
@@ -289,8 +290,8 @@ func TestShardSupervisorClassifiesErrors(t *testing.T) {
 	cancel()
 	cfg := shardedConfig{ckpt: filepath.Join(t.TempDir(), "s.fdx"),
 		every: 2, batchRows: 50, shards: 2, retries: 3}
-	err = superviseShard(ctx, rel, fdx.Options{}, fdx.BatchRange{Lo: 0, Hi: 3}, 0, cfg)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled supervisor returned %v, want context.Canceled", err)
+	err = superviseShard(ctx, rel, fdx.Options{}, []fdx.BatchRange{{Lo: 0, Hi: 3}}, 0, cfg)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, fdx.ErrCancelled) {
+		t.Errorf("cancelled supervisor returned %v, want fdx.ErrCancelled wrapping context.Canceled", err)
 	}
 }

@@ -3,43 +3,45 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
 	"fdx"
+	"fdx/internal/fdxerr"
 	"fdx/internal/obs"
 	"fdx/internal/serve"
 )
 
 // Ship mode: `fdx stream -ship URL -session NAME` absorbs the batch grid
-// through the same supervised shard workers as local sharded mode, but
-// instead of merging locally it ships each shard's snapshot to an fdxd
-// session and runs discovery server-side. Shard checkpoints stay on disk
-// as the local durability story: a rerun re-absorbs nothing, re-ships the
-// same sequence numbers (acknowledged as duplicates), and re-discovers —
-// the whole path is idempotent. With -trace, the client spans carry W3C
-// traceparent headers and graft fdxd's echoed server spans back in, so
-// one trace file covers supervisor, workers, and server under one
-// trace id.
+// through the same supervised workers and the same folds as a local run,
+// but every saved state is shipped to an fdxd session before it is folded
+// into the main checkpoint, and discovery runs server-side. The main
+// checkpoint is shipped first, so it is always contained in the session
+// and no scratch file outlives a run. The session dedups by batch coverage
+// alone: a state it already holds is acknowledged with applied=false, and
+// one that partially overlaps it is refused as shard_mismatch (exit 2).
+// Sequence numbers only label the deliveries. With -trace, the client
+// spans carry W3C traceparent headers and graft fdxd's echoed server
+// spans back in, so one trace file covers supervisor, workers, and server
+// under one trace id.
 
 // runShippedStream is the -ship analogue of runShardedStream +
 // finishStream: absorb locally, merge and discover remotely, print the
-// dependencies.
-func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, base *fdx.Accumulator, cfg shardedConfig, tel *telemetry) error {
-	root := cfg.obs.Start("stream")
+// dependencies. A cancelled run's error always matches fdx.ErrCancelled,
+// so a drain that lands in an HTTP call still exits 0.
+func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, main *fdx.Accumulator, cfg shardedConfig, tel *telemetry) (err error) {
+	root, cfg := startStream(cfg)
 	defer root.End()
-	root.Attr("shards", cfg.shards)
+	defer func() {
+		if err != nil && ctx.Err() != nil && !errors.Is(err, fdx.ErrCancelled) {
+			err = fdxerr.Cancelled(err)
+		}
+	}()
 	root.Attr("ship", cfg.ship)
 	root.Attr("session", cfg.session)
-	cfg.obs = cfg.obs.Under(root)
-	cfg.log = supervisorLogger(cfg.log, root)
-
-	spans, err := absorbShards(ctx, rel, opts, base, cfg)
-	if err != nil {
-		return err
-	}
 
 	client := &serve.ShardClient{
 		BaseURL:        cfg.ship,
@@ -51,38 +53,31 @@ func runShippedStream(ctx context.Context, rel *fdx.Relation, opts fdx.Options, 
 	if err := client.CreateSession(ctx, cfg.session, rel.AttrNames(), wireOptions(opts)); err != nil {
 		return fmt.Errorf("creating session %q on %s: %w", cfg.session, cfg.ship, err)
 	}
-
-	// Sequence numbers are a pure function of the shard layout, so a rerun
-	// re-ships the same seqs and the server acks them as duplicates: the
-	// main checkpoint's prefix (if any) is seq 1, shard s is seq s+2.
-	if base.Batches() > 0 {
+	seq := 0
+	ship := func(ctx context.Context, snap []byte) error {
+		seq++
+		applied, err := client.ShipShard(ctx, cfg.session, seq, snap)
+		if err != nil {
+			return fmt.Errorf("shipping state %d to session %q: %w", seq, cfg.session, err)
+		}
+		cfg.obs.Count(obs.MShardShipped, 1)
+		cfg.log.Info("shard_shipped", "seq", seq, "bytes", len(snap), "applied", applied)
+		if cfg.verbose {
+			fmt.Fprintf(os.Stderr, "fdx: state shipped to %s (seq %d, applied %v)\n", cfg.ship, seq, applied)
+		}
+		return nil
+	}
+	if main.Batches() > 0 {
 		var buf bytes.Buffer
-		if err := base.Snapshot(&buf); err != nil {
+		if err := main.Snapshot(&buf); err != nil {
 			return err
 		}
-		applied, err := client.ShipShard(ctx, cfg.session, 1, buf.Bytes())
-		if err != nil {
-			return fmt.Errorf("shipping checkpoint prefix: %w", err)
+		if err := ship(ctx, buf.Bytes()); err != nil {
+			return err
 		}
-		cfg.log.Info("prefix_shipped", "seq", 1, "batches", base.Batches(), "applied", applied)
 	}
-	for s, span := range spans {
-		if span.Lo == span.Hi {
-			continue
-		}
-		snap, err := os.ReadFile(cfg.shardPath(s))
-		if err != nil {
-			return fmt.Errorf("reading shard %d snapshot: %w: %w", s, err, fdx.ErrBadInput)
-		}
-		applied, err := client.ShipShard(ctx, cfg.session, s+2, snap)
-		if err != nil {
-			return fmt.Errorf("shipping shard %d: %w", s, err)
-		}
-		cfg.shardHooks(s).Count(obs.MShardShipped, 1)
-		cfg.log.Info("shard_shipped", "shard", s, "seq", s+2, "bytes", len(snap), "applied", applied)
-		if cfg.verbose {
-			fmt.Fprintf(os.Stderr, "fdx: shard %d shipped to %s (seq %d, applied %v)\n", s, cfg.ship, s+2, applied)
-		}
+	if err := streamShards(ctx, rel, opts, main, cfg, ship); err != nil {
+		return err
 	}
 
 	resp, err := client.Discover(ctx, cfg.session)

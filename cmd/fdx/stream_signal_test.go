@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -16,12 +15,14 @@ import (
 	"fdx"
 )
 
-// signalStream starts a deliberately slow stream run, delivers sig after
-// delay, and returns stdout, stderr, and the exit code.
-func signalStream(t *testing.T, ckpt string, sig os.Signal, delay time.Duration) (string, string, int) {
+// signalStream starts a deliberately slow stream run (extra flags go
+// before the input), delivers sig after delay, and returns stdout, stderr,
+// and the exit code.
+func signalStream(t *testing.T, ckpt string, sig os.Signal, delay time.Duration, extra ...string) (string, string, int) {
 	t.Helper()
-	cmd := exec.Command(binPath, "stream", "-checkpoint", ckpt,
-		"-batch", "20", "-every", "1000", "-batch-delay", "30ms", csvPath)
+	args := append([]string{"stream", "-checkpoint", ckpt,
+		"-batch", "20", "-every", "1000", "-batch-delay", "30ms"}, extra...)
+	cmd := exec.Command(binPath, append(args, csvPath)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -63,11 +64,7 @@ func drainStream(t *testing.T, ckpt string) (int, int) {
 	if !strings.Contains(stderr, "SIGTERM") || !strings.Contains(stderr, "exiting cleanly") {
 		t.Errorf("drain did not announce itself; stderr:\n%s", stderr)
 	}
-	for _, p := range []string{ckpt + ".shard-0-of-1", ckpt + ".shard-0-of-1" + fdx.WALSuffix} {
-		if _, err := os.Stat(p); !errors.Is(err, os.ErrNotExist) {
-			t.Errorf("drain left %s behind (stat: %v)", filepath.Base(p), err)
-		}
-	}
+	assertNoScratch(t, ckpt)
 	if fi, err := os.Stat(ckpt + fdx.WALSuffix); err == nil && fi.Size() != 0 {
 		t.Errorf("post-drain WAL holds %d bytes, want 0", fi.Size())
 	}
@@ -84,6 +81,18 @@ func drainStream(t *testing.T, ckpt string) (int, int) {
 		t.Fatal(err)
 	}
 	return cov[0].Hi, (rel.NumRows() + 19) / 20
+}
+
+// assertNoScratch fails the test if any <ckpt>.shard-* file is left.
+func assertNoScratch(t *testing.T, ckpt string) {
+	t.Helper()
+	left, err := filepath.Glob(ckpt + ".shard-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("scratch files left behind: %v", left)
+	}
 }
 
 // batchLines returns the -v per-batch progress lines of a stream run.

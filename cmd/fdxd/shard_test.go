@@ -72,8 +72,8 @@ func TestServerShardShipKillDashNineResume(t *testing.T) {
 	s2 := startServer(t, dir)
 	defer func() { s2.cmd.Process.Kill(); s2.wait(t, 10*time.Second) }()
 	client.BaseURL = s2.base
-	// A client that never saw the ack retries its ship. The restart wiped
-	// the in-memory seq set, so dedup falls through to batch coverage:
+	// A client that never saw the ack retries its ship. The session dedups
+	// by the batch coverage in its checkpoint, which survived the kill:
 	// acknowledged again, not double-counted.
 	if applied, err := client.ShipShard(ctx, "merged", 1, firstHalf); err != nil || applied {
 		t.Fatalf("re-ship after restart: applied=%v err=%v, want idempotent no-op ack", applied, err)

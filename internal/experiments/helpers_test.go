@@ -63,7 +63,12 @@ func TestRunWithTimeoutCompletes(t *testing.T) {
 func TestRunWithTimeoutExpires(t *testing.T) {
 	// A TANE run over many columns with tiny budget must report a timeout
 	// quickly and, thanks to the cooperative deadline, the abandoned
-	// goroutine should terminate on its own shortly after.
+	// goroutine should terminate on its own shortly after. The cells are
+	// hashed into a 4-value domain so no column determines another: TANE
+	// cannot prune and needs seconds for the full lattice (10.8 s on a
+	// 2-core x86-64 VM), far past the budget. (Cells of the form
+	// (i*(j+1))%50 all depend on i%50, so TANE finished in ~30 ms there and
+	// the timeout path went unexercised.)
 	cols := make([]string, 16)
 	for i := range cols {
 		cols[i] = "c" + strconv.Itoa(i)
@@ -72,7 +77,8 @@ func TestRunWithTimeoutExpires(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		row := make([]string, 16)
 		for j := range row {
-			row[j] = strconv.Itoa((i * (j + 1)) % 50)
+			h := uint32(i*16+j) * 2654435761
+			row[j] = strconv.Itoa(int(h>>28) % 4)
 		}
 		rel.AppendRow(row)
 	}

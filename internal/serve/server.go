@@ -398,10 +398,12 @@ func (sv *Server) handleRows(w http.ResponseWriter, r *http.Request) *httpError 
 
 // handleShards applies a shard snapshot shipped by a worker (POST
 // /v1/sessions/{id}/shards?seq=N, body application/octet-stream in the
-// checkpoint snapshot encoding). Retries with the same seq are
-// acknowledged idempotently; a snapshot from an incompatible accumulator
-// answers 409 shard_mismatch and a corrupt body 500 corrupt_checkpoint,
-// neither touching the session's state.
+// checkpoint snapshot encoding). seq is a label (an integer >= 1); the
+// session dedups by batch coverage, so a re-delivered snapshot is
+// acknowledged with applied=false; a snapshot from an incompatible
+// accumulator or partially overlapping coverage answers 409
+// shard_mismatch and a corrupt body 500 corrupt_checkpoint, neither
+// touching the session's state.
 func (sv *Server) handleShards(w http.ResponseWriter, r *http.Request) *httpError {
 	tenant := tenantOf(r)
 	s, herr := sv.store.get(r.PathValue("id"), tenant)
@@ -420,7 +422,7 @@ func (sv *Server) handleShards(w http.ResponseWriter, r *http.Request) *httpErro
 	if err != nil {
 		return bodyError("reading shard snapshot", err)
 	}
-	applied, herr := s.mergeShard(snap, seq)
+	applied, herr := s.mergeShard(snap)
 	if herr != nil {
 		return herr
 	}

@@ -81,9 +81,8 @@ type session struct {
 	mu        sync.Mutex
 	acc       *fdx.Accumulator
 	wal       *fdx.WAL
-	sinceSave int          // batches absorbed since the last checkpoint
-	shardSeqs map[int]bool // shard-ship seqs acknowledged (fast retry dedup)
-	closed    bool         // deleted or store shut down
+	sinceSave int  // batches absorbed since the last checkpoint
+	closed    bool // deleted or store shut down
 	// refused is set at boot when the stored manifest's options fail
 	// fdx.Options.Validate: nothing is loaded, the files stay untouched,
 	// and every request but DELETE gets this 400 (sessionStore.get).
@@ -124,38 +123,32 @@ func (s *session) ingest(rel *fdx.Relation, seq, checkpointEvery int) (applied b
 	return true, nil
 }
 
-// mergeShard merges a shipped shard snapshot at the given 1-based client
-// sequence number. An already-acknowledged seq is a duplicate delivery,
-// acknowledged again without touching state; a fresh seq whose batch
-// coverage the session already holds merges as a no-op (applied=false) —
-// the accumulator's coverage intervals are the durable dedup, the seq set
-// only an in-memory fast path. Shards may land in any order (workers ship
-// concurrently), so unlike ingest there is no skip-ahead conflict: the
-// seq set, not a high-water mark, records what was seen, and after a
-// restart clears it a retried ship simply re-merges into the coverage
-// no-op. Merges bypass the WAL, so a successful merge checkpoints
-// immediately — the ack must imply durability.
-func (s *session) mergeShard(snapshot []byte, seq int) (applied bool, herr *httpError) {
+// mergeShard merges a shipped shard snapshot. Batch coverage is the only
+// dedup: a snapshot whose coverage the session already holds is a
+// duplicate delivery, acknowledged with applied=false without touching
+// state or the checkpoint, and one that partially overlaps it is a
+// shard_mismatch. Shards may land in any order (workers ship whenever
+// their states fold), and a restart changes nothing since the coverage is
+// in the checkpoint. seq only labels the delivery in logs and traces.
+// Merges bypass the WAL, so an applied merge checkpoints immediately —
+// the ack must imply durability.
+func (s *session) mergeShard(snapshot []byte) (applied bool, herr *httpError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false, serveError(404, CodeNotFound, "session "+s.id+" is deleted")
 	}
-	if s.shardSeqs[seq] {
-		return false, nil // duplicate delivery; already durable
-	}
 	applied, err := s.acc.MergeSnapshot(bytes.NewReader(snapshot))
 	if err != nil {
 		return false, taxonomyError(err)
 	}
+	if !applied {
+		return false, nil
+	}
 	if err := s.saveLocked(); err != nil {
-		return applied, taxonomyError(err)
+		return true, taxonomyError(err)
 	}
-	if s.shardSeqs == nil {
-		s.shardSeqs = map[int]bool{}
-	}
-	s.shardSeqs[seq] = true
-	return applied, nil
+	return true, nil
 }
 
 // saveLocked checkpoints the accumulator and resets the WAL. Callers hold

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -105,9 +106,8 @@ func TestShardShipMatchesSequentialIngest(t *testing.T) {
 	}
 }
 
-// TestShardShipIdempotent pins both dedup layers: a repeated seq is
-// acknowledged without re-applying, and a fresh seq whose coverage the
-// session already holds merges as a no-op.
+// TestShardShipIdempotent pins coverage dedup: a retried delivery, under
+// its old seq or a fresh one, merges as a no-op.
 func TestShardShipIdempotent(t *testing.T) {
 	sv := newServer(t, nil)
 	createSession(t, sv, "s", "acme")
@@ -118,8 +118,7 @@ func TestShardShipIdempotent(t *testing.T) {
 	if mustShip(t, sv, "s", "acme", 1, snap) {
 		t.Error("retried seq re-applied")
 	}
-	// Same coverage under a new seq: the accumulator's coverage intervals
-	// are the durable dedup (this is the post-restart retry path).
+	// Same coverage under a new seq: still a duplicate.
 	if mustShip(t, sv, "s", "acme", 2, snap) {
 		t.Error("duplicate coverage applied under a fresh seq")
 	}
@@ -129,6 +128,50 @@ func TestShardShipIdempotent(t *testing.T) {
 	}
 	if b, _ := body["batches"].(float64); int(b) != 2 {
 		t.Errorf("batches = %v, want 2 (duplicates must not double-count)", body["batches"])
+	}
+}
+
+// TestShardShipDedupsByCoverageNotSeq: seq is only a label. A wider
+// snapshot under an acknowledged seq partially overlaps the session and
+// is refused, not acknowledged as a duplicate; a contained re-delivery
+// answers applied=false and leaves the checkpoint file untouched.
+func TestShardShipDedupsByCoverageNotSeq(t *testing.T) {
+	sv := newServer(t, nil)
+	createSession(t, sv, "s", "acme")
+	if !mustShip(t, sv, "s", "acme", 1, shardSnapshot(t, fdx.Options{}, testAttrs, 0)) {
+		t.Fatal("first ship not applied")
+	}
+	rec, body := ship(t, sv, "s", "acme", 1, shardSnapshot(t, fdx.Options{}, testAttrs, 0, 1))
+	if rec.Code != http.StatusConflict || errCode(t, body) != CodeShardMismatch {
+		t.Fatalf("[0,2) under acknowledged seq 1: status %d body %v, want 409 %s", rec.Code, body, CodeShardMismatch)
+	}
+
+	s, herr := sv.store.get("s", "acme")
+	if herr != nil {
+		t.Fatal(herr)
+	}
+	before, err := os.ReadFile(s.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(s.path, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if mustShip(t, sv, "s", "acme", 9, shardSnapshot(t, fdx.Options{}, testAttrs, 0)) {
+		t.Error("contained re-delivery applied")
+	}
+	after, err := os.ReadFile(s.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(s.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) || !fi.ModTime().Equal(old) {
+		t.Errorf("contained re-delivery rewrote the checkpoint (bytes equal %v, mtime %v, want %v)",
+			bytes.Equal(before, after), fi.ModTime(), old)
 	}
 }
 
